@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the program importable in its tests.
+
+Run from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
+sys.path.insert(0, BENCH)
