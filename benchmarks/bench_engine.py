@@ -73,11 +73,12 @@ MIN_MEMO_HIT_RATE = 0.95
 FULL_GROUPS = 65536
 QUICK_GROUPS = 8192
 
-#: The three paths as (FAST_BATCH_THRESHOLD, VECTORIZED_BATCH) forcings.
+#: The three paths as ``(drain, VECTORIZED_BATCH)`` forcings; ``drain``
+#: False patches ``ExecutionEngine._try_fast_batch`` to refuse.
 PATHS = (
-    ("event", (10**9, False)),
-    ("fast", (1, False)),
-    ("vectorized", (1, True)),
+    ("event", (False, False)),
+    ("fast", (True, False)),
+    ("vectorized", (True, True)),
 )
 
 ELEMS_PER_UNIT = 8
@@ -131,24 +132,29 @@ def make_args(units: int, config: ReproConfig) -> Dict[str, object]:
     }
 
 
-class forced_path:
-    """Pin the engine's path-selection constants for one measurement."""
+def _never_drain(self, horizon: float) -> bool:
+    """Stand-in drain that refuses, leaving the per-work-group path."""
+    return False
 
-    def __init__(self, forcing: Tuple[int, bool]) -> None:
-        self.forcing = forcing
+
+class forced_path:
+    """Pin the engine's scheduling path for one measurement."""
+
+    def __init__(self, forcing: Tuple[bool, bool]) -> None:
+        self.drain, self.vectorized = forcing
 
     def __enter__(self):
         self.saved = (
-            engine_mod.FAST_BATCH_THRESHOLD,
+            ExecutionEngine._try_fast_batch,
             engine_mod.VECTORIZED_BATCH,
         )
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
-            self.forcing
-        )
+        if not self.drain:
+            ExecutionEngine._try_fast_batch = _never_drain
+        engine_mod.VECTORIZED_BATCH = self.vectorized
         return self
 
     def __exit__(self, *exc):
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
+        ExecutionEngine._try_fast_batch, engine_mod.VECTORIZED_BATCH = (
             self.saved
         )
         return False
@@ -254,7 +260,7 @@ def measure_memo(groups: int, config: ReproConfig, launches: int) -> Dict:
 
 def traced_reconcile(trace_path: str) -> Tuple[int, List[str]]:
     """A traced runtime launch under the vectorized drain, reconciled."""
-    with forced_path((1, True)):
+    with forced_path((True, True)):
         config = ReproConfig(trace=True)
         runtime = DySelRuntime(make_cpu(config), config)
         variant = make_variant()

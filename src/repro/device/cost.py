@@ -34,7 +34,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from ..kernel.buffers import Buffer, MemorySpace
-from ..kernel.ir import AtomicKind, KernelIR
+from ..kernel.ir import AtomicKind, KernelIR, TripTable
 from ..kernel.kernel import KernelVariant, WorkRange
 from .base import Device
 from .memory import ELEM_BYTES, AccessCost
@@ -328,18 +328,23 @@ class CostModel:
         args: Mapping[str, object],
         unit_ids: np.ndarray,
     ) -> UnitCostBreakdown:
-        """Evaluate per-unit cost components for the given unit ids."""
+        """Evaluate per-unit cost components for the given unit ids.
+
+        Each loop bound is evaluated once (:class:`TripTable`); flops,
+        access-site counts and loop bookkeeping all read that table.
+        """
         ids = np.asarray(unit_ids, dtype=np.int64)
-        flops = ir.total_flops(args, ids)
-        compute = self.device.compute_cycles(ir, flops, self._wg_size(ir))
+        trips = TripTable(ir, args, ids)
+        compute = self.device.compute_cycles(
+            ir, trips.flops(), self._wg_size(ir)
+        )
 
         cost = AccessCost.zero(ids.size)
         atomic_cycles = np.zeros(ids.size)
         placements = dict(ir.placements)
         memory = self.device.memory
         for access in ir.accesses:
-            trips = ir.access_trips(access, args, ids)
-            useful_bytes = access.bytes_per_trip * trips
+            useful_bytes = access.bytes_per_trip * trips.access(access)
             buffer = self._buffer_arg(args, access.buffer)
             space = MemorySpace(
                 placements.get(
@@ -374,7 +379,7 @@ class CostModel:
                 ops = useful_bytes / ELEM_BYTES
                 atomic_cycles += ops * self.device.atomic_cycles_per_op()
 
-        bookkeeping = self._loop_bookkeeping(ir, args, ids)
+        bookkeeping = self._loop_bookkeeping(ir, trips)
         exposed = cost.latency_cycles + atomic_cycles + bookkeeping
         return UnitCostBreakdown(
             compute_cycles=compute,
@@ -382,12 +387,7 @@ class CostModel:
             exposed_cycles=exposed,
         )
 
-    def _loop_bookkeeping(
-        self,
-        ir: KernelIR,
-        args: Mapping[str, object],
-        ids: np.ndarray,
-    ) -> np.ndarray:
+    def _loop_bookkeeping(self, ir: KernelIR, trips: TripTable) -> np.ndarray:
         """Per-unit loop setup and trip bookkeeping cycles.
 
         Every loop charges a setup cost per *instance* (once per iteration
@@ -398,11 +398,10 @@ class CostModel:
         DFO/BFO crossover).
         """
         spec = self.device.spec
-        bookkeeping = np.zeros(ids.size)
-        instances = np.ones(ids.size)
+        bookkeeping = np.zeros(trips.units)
+        instances = np.ones(trips.units)
         for index, loop in enumerate(ir.loops):
-            trips = loop.bound.trips(args, ids)
-            iterations = instances * trips
+            iterations = instances * trips.by_loop[loop.name]
             per_trip = spec.loop_overhead_cycles
             if index == len(ir.loops) - 1:
                 # The innermost loop's bookkeeping amortizes over both

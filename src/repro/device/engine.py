@@ -31,7 +31,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -48,14 +48,6 @@ from .cost import CostModel
 #: launch call (driver entry / task-group spawn); the remainder is
 #: device-side setup before the first work-group starts.
 HOST_LAUNCH_FRACTION = 0.25
-
-#: Above this many *total queued* work-groups, a drain to an unbounded
-#: horizon skips the per-work-group event machinery and runs the analytic
-#: schedule (see :meth:`ExecutionEngine._try_fast_batch`).  Contended and
-#: mixed-priority queues qualify: with no pending arrivals the event loop
-#: is provably a priority-ordered greedy list schedule, so draining it in
-#: one pass is exact, not an approximation.
-FAST_BATCH_THRESHOLD = 4096
 
 #: When True, the analytic drain additionally collapses equal-duration
 #: batches (noise off, statically priced kernels) into a numpy
@@ -83,11 +75,6 @@ class _Batch:
         self.task = task
         self.durations = task._durations
         self.index = 0
-
-    @property
-    def remaining(self) -> int:
-        """Work-groups not yet dispatched from this batch."""
-        return len(self.durations) - self.index
 
 
 class Priority(enum.IntEnum):
@@ -175,10 +162,11 @@ class ExecutionEngine:
         heapq.heapify(self._unit_heap)
         #: Pending device-side arrivals: (arrival_time, seq, task).
         self._arrivals: List[Tuple[float, int, TaskHandle]] = []
-        #: Ready work by priority: deque of per-task :class:`_Batch`es.
-        self._ready: Dict[Priority, Deque[_Batch]] = {
-            p: deque() for p in Priority
-        }
+        #: Ready work, one deque of per-task :class:`_Batch`es per
+        #: priority, indexed by the priority's value (most urgent first).
+        self._ready: Tuple[Deque[_Batch], ...] = tuple(
+            deque() for _ in Priority
+        )
         self._seq = itertools.count()
         self._busy_cycles = 0.0
         self._launch_count = 0
@@ -390,7 +378,7 @@ class ExecutionEngine:
             entry for entry in self._arrivals if entry[2] is not task
         ]
         heapq.heapify(self._arrivals)
-        for queue in self._ready.values():
+        for queue in self._ready:
             if any(batch.task is task for batch in queue):
                 kept = [batch for batch in queue if batch.task is not task]
                 queue.clear()
@@ -437,7 +425,7 @@ class ExecutionEngine:
             if not progressed and not task.finished:
                 raise EngineError(
                     f"task {task.task_id} cannot finish: engine is stuck "
-                    f"(ready={sum(len(q) for q in self._ready.values())}, "
+                    f"(ready={sum(len(q) for q in self._ready)}, "
                     f"arrivals={len(self._arrivals)})"
                 )
             if guard > 10_000_000:
@@ -446,22 +434,6 @@ class ExecutionEngine:
     def _device_horizon(self) -> float:
         """Latest unit free time (device-side frontier)."""
         return max(t for t, _ in self._unit_heap)
-
-    def _ready_count(self) -> int:
-        """Work-groups currently queued across all priorities."""
-        return sum(
-            batch.remaining
-            for queue in self._ready.values()
-            for batch in queue
-        )
-
-    def _peek_ready(self) -> _Batch:
-        """The highest-priority ready batch (queues must not be empty)."""
-        for priority in Priority:
-            queue = self._ready[priority]
-            if queue:
-                return queue[0]
-        raise EngineError("no ready work-group to pop")
 
     def _deliver_arrivals(self, up_to: float) -> None:
         """Move tasks whose submit time has passed onto the ready queues."""
@@ -476,54 +448,66 @@ class ExecutionEngine:
 
         Returns True if any progress was made.  With ``stop_task`` given,
         returns as soon as that task finishes.
+
+        Once the horizon is unbounded and no arrival is pending, the rest
+        of the advance is the analytic drain (:meth:`_try_fast_batch`),
+        whatever the queue size.  Bounded advances (polls, host compute,
+        deadline waits) and advances with arrivals still pending dispatch
+        one work-group at a time.
         """
         progressed = False
         previous_stop = self._stop_task
         self._stop_task = stop_task
+        profiling, eager, batch_work = self._ready
+        arrivals = self._arrivals
+        unit_heap = self._unit_heap
+        unbounded = horizon == float("inf")
         try:
             while True:
                 if stop_task is not None and stop_task.finished:
                     return progressed
-                ready = self._ready
-                if not (
-                    ready[Priority.PROFILING]
-                    or ready[Priority.EAGER]
-                    or ready[Priority.BATCH]
-                ):
-                    if not self._arrivals:
+                queue = profiling or eager or batch_work
+                if not queue:
+                    if not arrivals:
                         return progressed
-                    next_arrival = self._arrivals[0][0]
+                    next_arrival = arrivals[0][0]
                     if next_arrival > horizon:
                         return progressed
                     self._deliver_arrivals(next_arrival)
                     continue
 
-                if self._try_fast_batch(horizon):
+                if unbounded and not arrivals and self._try_fast_batch(horizon):
                     progressed = True
                     continue
 
-                free_time, unit = self._unit_heap[0]
-                # Deliver anything arriving by the dispatch instant so
-                # higher priority work can claim the unit.
-                self._deliver_arrivals(free_time)
-                batch = self._peek_ready()
+                free_time, unit = unit_heap[0]
+                if arrivals and arrivals[0][0] <= free_time:
+                    # Deliver anything arriving by the dispatch instant so
+                    # higher priority work can claim the unit.
+                    self._deliver_arrivals(free_time)
+                    queue = profiling or eager or batch_work
+                batch = queue[0]
                 task = batch.task
-                start = max(free_time, task.arrival_time)
+                arrival = task.arrival_time
+                start = free_time if free_time > arrival else arrival
                 if start > horizon:
                     # Nothing can start inside the horizon yet.
                     return progressed
-                duration = float(batch.durations[batch.index])
+                durations = batch.durations
+                duration = float(durations[batch.index])
                 batch.index += 1
-                if batch.index == len(batch.durations):
-                    self._ready[task.priority].popleft()
-                heapq.heappop(self._unit_heap)
                 end = start + duration
-                heapq.heappush(self._unit_heap, (end, unit))
+                heapq.heapreplace(unit_heap, (end, unit))
                 self._busy_cycles += duration
-                task.first_start = min(task.first_start, start)
-                task.last_end = max(task.last_end, end)
+                if start < task.first_start:
+                    task.first_start = start
+                if end > task.last_end:
+                    task.last_end = end
                 task.completed_work_groups += 1
-                if task.finished:
+                if batch.index == len(durations):
+                    # A task's work-groups are one batch: exhausting it
+                    # finishes the task.
+                    queue.popleft()
                     self._finalize(task)
                 progressed = True
         finally:
@@ -541,6 +525,7 @@ class ExecutionEngine:
         mixed-priority, and preempted queues included) produces *bit
         identical* unit free times, intervals, busy cycles, and
         measurement-RNG consumption; only the simulation cost differs.
+        Returns False, draining nothing, unless those preconditions hold.
 
         When every remaining duration in a batch is the same value ``d``
         and all units are free at the same instant (the uncontended
@@ -556,8 +541,6 @@ class ExecutionEngine:
         """
         if self._arrivals or horizon != float("inf"):
             return False
-        if self._ready_count() < FAST_BATCH_THRESHOLD:
-            return False
 
         stop_task = self._stop_task
         unit_heap = self._unit_heap
@@ -565,8 +548,7 @@ class ExecutionEngine:
         busy = self._busy_cycles
         finished: List[TaskHandle] = []
         stopped = False
-        for priority in Priority:
-            queue = self._ready[priority]
+        for queue in self._ready:
             while queue and not stopped:
                 batch = queue[0]
                 task = batch.task
@@ -596,12 +578,13 @@ class ExecutionEngine:
                         vectorized = True
 
                 if not vectorized:
-                    while index < len(durations):
+                    # ``tolist`` yields the same floats ``float(durations[i])``
+                    # would, without a numpy scalar per work-group.
+                    for duration in durations[index:].tolist():
                         free_time, unit = unit_heap[0]
                         start = (
                             free_time if free_time > arrival else arrival
                         )
-                        duration = float(durations[index])
                         end = start + duration
                         heapreplace(unit_heap, (end, unit))
                         if start < first_start:
@@ -609,7 +592,6 @@ class ExecutionEngine:
                         if end > last_end:
                             last_end = end
                         busy += duration
-                        index += 1
 
                 batch.index = len(durations)
                 queue.popleft()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -386,6 +386,10 @@ class KernelIR:
     # Quantitative evaluation (vectorized over work-groups)
     # ------------------------------------------------------------------
 
+    # The counting methods below each build a :class:`TripTable` and read
+    # their product from it; the cost model builds one per pricing and
+    # shares it.
+
     def site_trips(
         self,
         site_loop: Optional[str],
@@ -397,10 +401,7 @@ class KernelIR:
         The count is the product of trip counts of the loop and all loops
         enclosing it; a site outside all loops executes once.
         """
-        counts = np.ones(len(unit_ids))
-        for loop in self.enclosing_loops(site_loop):
-            counts = counts * loop.bound.trips(args, unit_ids)
-        return counts
+        return TripTable(self, args, unit_ids).site(site_loop)
 
     def access_trips(
         self,
@@ -414,12 +415,7 @@ class KernelIR:
         (order independent); otherwise falls back to the nest prefix up to
         ``access.loop``.
         """
-        if access.scope is None:
-            return self.site_trips(access.loop, args, unit_ids)
-        counts = np.ones(len(unit_ids))
-        for name in access.scope:
-            counts = counts * self.loop_named(name).bound.trips(args, unit_ids)
-        return counts
+        return TripTable(self, args, unit_ids).access(access)
 
     def innermost_trips(
         self, args: Mapping[str, object], unit_ids: np.ndarray
@@ -429,18 +425,13 @@ class KernelIR:
         This is what ``flops_per_trip`` multiplies.  With an empty nest the
         kernel body runs once per unit.
         """
-        if not self.loops:
-            return np.ones(len(unit_ids))
-        return self.site_trips(self.loops[-1].name, args, unit_ids)
+        return TripTable(self, args, unit_ids).innermost()
 
     def total_flops(
         self, args: Mapping[str, object], unit_ids: np.ndarray
     ) -> np.ndarray:
         """Arithmetic work per workload unit."""
-        return (
-            self.flops_fixed
-            + self.flops_per_trip * self.innermost_trips(args, unit_ids)
-        )
+        return TripTable(self, args, unit_ids).flops()
 
     def with_(self, **changes: object) -> "KernelIR":
         """Return a modified copy (transform helper)."""
@@ -449,3 +440,53 @@ class KernelIR:
     def with_note(self, note: str) -> "KernelIR":
         """Return a copy with a provenance note appended."""
         return replace(self, notes=self.notes + (note,))
+
+
+class TripTable:
+    """Per-unit trip counts of every loop in an IR, each evaluated once.
+
+    Every execution count the cost model needs — flops, access-site
+    counts, loop bookkeeping — is a product of these arrays, taken left
+    to right starting from ones.  Sharing one table runs each
+    data-dependent evaluator once per pricing instead of once per count.
+    """
+
+    __slots__ = ("ir", "units", "by_loop")
+
+    def __init__(
+        self, ir: KernelIR, args: Mapping[str, object], unit_ids: np.ndarray
+    ) -> None:
+        self.ir = ir
+        self.units = len(unit_ids)
+        #: Loop name -> trip count per unit, in nest order.
+        self.by_loop = {
+            loop.name: loop.bound.trips(args, unit_ids) for loop in ir.loops
+        }
+
+    def product(self, loop_names: Iterable[str]) -> np.ndarray:
+        """Product of the named loops' trips per unit (ones when none)."""
+        counts = np.ones(self.units)
+        for name in loop_names:
+            counts = counts * self.by_loop[name]
+        return counts
+
+    def site(self, site_loop: Optional[str]) -> np.ndarray:
+        """See :meth:`KernelIR.site_trips`."""
+        return self.product(
+            loop.name for loop in self.ir.enclosing_loops(site_loop)
+        )
+
+    def access(self, access: MemoryAccess) -> np.ndarray:
+        """See :meth:`KernelIR.access_trips`."""
+        if access.scope is None:
+            return self.site(access.loop)
+        return self.product(access.scope)
+
+    def innermost(self) -> np.ndarray:
+        """See :meth:`KernelIR.innermost_trips` (every loop encloses the
+        innermost one)."""
+        return self.product(self.by_loop)
+
+    def flops(self) -> np.ndarray:
+        """See :meth:`KernelIR.total_flops`."""
+        return self.ir.flops_fixed + self.ir.flops_per_trip * self.innermost()

@@ -73,16 +73,34 @@ def _contention(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:
     Proportional to the collision probability of the unit's elements —
     the maximum bin share within the block.  Uniform data ≈ 1/BINS hot
     share; skewed data concentrates updates and serializes them.
+
+    One ``np.bincount`` counts every unit's bins: each unit's elements are
+    keyed by the unit's row in a table wider than the largest value, so
+    no value aliases into another unit's bins.  Units past the end of the
+    data keep factor 1.
     """
     data = args["data"].data  # type: ignore[union-attr]
-    factors = np.ones(len(unit_ids))
-    for index, unit in enumerate(np.asarray(unit_ids)):
-        e0 = int(unit) * ELEMS_PER_UNIT
-        e1 = min(e0 + ELEMS_PER_UNIT, len(data))
-        if e1 <= e0:
-            continue
-        counts = np.bincount(data[e0:e1], minlength=BINS)
-        factors[index] = 1.0 + 31.0 * float(counts.max()) / (e1 - e0)
+    starts = np.asarray(unit_ids, dtype=np.int64) * ELEMS_PER_UNIT
+    sizes = np.clip(len(data) - starts, 0, ELEMS_PER_UNIT)
+    factors = np.ones(len(starts))
+    live = np.flatnonzero(sizes)
+    if live.size == 0:
+        return factors
+    starts = starts[live]
+    sizes = sizes[live]
+    offsets = np.cumsum(sizes) - sizes
+    total = int(offsets[-1] + sizes[-1])
+    if np.array_equal(starts - starts[0], offsets):
+        # Consecutive units (every launch and profiling slice): one slice.
+        values = data[starts[0] : starts[0] + total]
+    else:
+        values = data[np.arange(total) + np.repeat(starts - offsets, sizes)]
+    width = max(BINS, int(values.max()) + 1)
+    keys = np.repeat(np.arange(live.size, dtype=np.int64) * width, sizes)
+    keys += values
+    counts = np.bincount(keys, minlength=live.size * width)
+    hot = counts.reshape(live.size, width).max(axis=1)
+    factors[live] = 1.0 + 31.0 * hot / sizes
     return factors
 
 

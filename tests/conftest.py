@@ -8,12 +8,14 @@ of any size can be assembled cheaply.
 
 from __future__ import annotations
 
-from typing import Dict
+import contextlib
+from typing import Dict, Iterator
 
 import numpy as np
 import pytest
 
 from repro.config import ReproConfig
+from repro.device import engine as engine_mod
 from repro.device import make_cpu, make_gpu
 from repro.kernel import (
     AccessPattern,
@@ -30,6 +32,37 @@ from repro.kernel.buffers import Buffer
 
 #: Elements each axpy workload unit scales.
 AXPY_UNIT = 64
+
+
+def _never_drain(self, horizon: float) -> bool:
+    """Stand-in drain that refuses, leaving the per-work-group path."""
+    return False
+
+
+@contextlib.contextmanager
+def forced_engine_path(drain: bool, vectorized: bool = True) -> Iterator[None]:
+    """Pin the engine's scheduling path inside the block.
+
+    ``drain=False`` patches ``ExecutionEngine._try_fast_batch`` to refuse,
+    so every work-group goes through the per-work-group loop;
+    ``vectorized`` pins ``VECTORIZED_BATCH`` (the closed form inside the
+    drain).  Subclass probes that call ``super()._try_fast_batch`` see the
+    patch too.
+    """
+    saved = (
+        engine_mod.ExecutionEngine._try_fast_batch,
+        engine_mod.VECTORIZED_BATCH,
+    )
+    if not drain:
+        engine_mod.ExecutionEngine._try_fast_batch = _never_drain
+    engine_mod.VECTORIZED_BATCH = vectorized
+    try:
+        yield
+    finally:
+        (
+            engine_mod.ExecutionEngine._try_fast_batch,
+            engine_mod.VECTORIZED_BATCH,
+        ) = saved
 
 
 @pytest.fixture
@@ -173,13 +206,13 @@ def _no_global_state_leaks():
 
     - ``repro.config.DEFAULT_CONFIG`` must stay the pristine defaults,
     - the shared ``NULL_TRACER`` must never be switched on,
-    - ``engine.FAST_BATCH_THRESHOLD`` patches must be undone,
+    - ``ExecutionEngine._try_fast_batch`` patches (which force the
+      per-work-group path) must be undone,
     - ``engine.VECTORIZED_BATCH`` patches must be undone,
     - the process-wide cost-kernel memo must be empty when a test starts
       (each test sees cold caches; the memo is cleared after every test).
     """
     import repro.config as config_mod
-    from repro.device import engine as engine_mod
     from repro.device.cost import clear_cost_memo, cost_memo_stats
     from repro.obs.tracer import NULL_TRACER
 
@@ -187,7 +220,7 @@ def _no_global_state_leaks():
         "cost-kernel memo not empty at test start"
     )
     default_before = config_mod.DEFAULT_CONFIG
-    threshold_before = engine_mod.FAST_BATCH_THRESHOLD
+    drain_before = engine_mod.ExecutionEngine._try_fast_batch
     vectorized_before = engine_mod.VECTORIZED_BATCH
     yield
     clear_cost_memo()
@@ -200,8 +233,8 @@ def _no_global_state_leaks():
     assert NULL_TRACER.enabled is False, (
         "test enabled the shared NULL_TRACER"
     )
-    assert engine_mod.FAST_BATCH_THRESHOLD == threshold_before, (
-        "test left engine.FAST_BATCH_THRESHOLD patched"
+    assert engine_mod.ExecutionEngine._try_fast_batch is drain_before, (
+        "test left ExecutionEngine._try_fast_batch patched"
     )
     assert engine_mod.VECTORIZED_BATCH == vectorized_before, (
         "test left engine.VECTORIZED_BATCH patched"

@@ -1,11 +1,17 @@
 """Unit tests for the mechanistic cost model."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.device import make_cpu, make_gpu
 from repro.device.cost import CostModel
-from repro.kernel import AccessPattern, WorkRange
+from repro.device.memory import ELEM_BYTES, AccessCost
+from repro.kernel import AccessPattern, AtomicKind, Buffer, WorkRange
 from repro.kernel.buffers import MemorySpace
+from repro.workloads import histogram, particle_filter, spmv_csr, spmv_jds
 from tests.conftest import make_axpy_args, make_axpy_variant
 
 
@@ -179,3 +185,166 @@ class TestBookkeeping:
         args = make_axpy_args(8, config)
         cycles = model.workgroup_cycles(variant, args, WorkRange(0, 8))
         assert (np.diff(cycles) > 0).all()
+
+
+def counting_variant(variant, calls):
+    """``variant`` with each loop-bound evaluator counting its calls."""
+
+    def counted(loop):
+        evaluator = loop.bound.evaluator
+        if evaluator is None:
+            return loop
+
+        def evaluate(args, unit_ids):
+            calls[loop.name] += 1
+            return evaluator(args, unit_ids)
+
+        bound = dataclasses.replace(loop.bound, evaluator=evaluate)
+        return dataclasses.replace(loop, bound=bound)
+
+    ir = variant.ir.with_(loops=tuple(counted(loop) for loop in variant.ir.loops))
+    return dataclasses.replace(variant, ir=ir)
+
+
+def reference_workgroup_cycles(device, variant, args, units):
+    """The pricing formula derived count by count: flops, every access
+    site and the loop bookkeeping each evaluate the loop bounds they
+    multiply, as pricing did before bounds were shared."""
+    ir = variant.ir
+    ids = np.arange(units.start, units.end, dtype=np.int64)
+
+    def product(loops):
+        counts = np.ones(ids.size)
+        for loop in loops:
+            counts = counts * loop.bound.trips(args, ids)
+        return counts
+
+    def buffer_arg(name):
+        value = args.get(name) if name else None
+        return value if isinstance(value, Buffer) else None
+
+    flops = ir.flops_fixed + ir.flops_per_trip * product(ir.loops)
+    compute = device.compute_cycles(ir, flops, ir.work_group_threads)
+    memory = device.memory
+    cost = AccessCost.zero(ids.size)
+    atomic = np.zeros(ids.size)
+    for access in ir.accesses:
+        if access.scope is None:
+            scope = ir.enclosing_loops(access.loop)
+        else:
+            scope = [ir.loop_named(name) for name in access.scope]
+        useful = access.bytes_per_trip * product(scope)
+        buffer = buffer_arg(access.buffer)
+        space = MemorySpace(
+            dict(ir.placements).get(
+                access.buffer,
+                buffer.space.value if buffer is not None else "global",
+            )
+        )
+        working_set = memory.working_set(
+            access, args, ids, buffer, buffer_arg(access.working_set_hint)
+        )
+        stride = None
+        if access.stride_evaluator is not None:
+            stride = np.asarray(access.stride_evaluator(args, ids), dtype=float)
+        cost = cost + memory.access_cost(
+            access,
+            useful,
+            working_set,
+            float(buffer.nbytes) if buffer is not None else float("inf"),
+            ir,
+            space,
+            dynamic_stride=stride,
+        )
+        if access.atomic is AtomicKind.GLOBAL:
+            atomic += useful / ELEM_BYTES * device.atomic_cycles_per_op()
+
+    spec = device.spec
+    bookkeeping = np.zeros(ids.size)
+    instances = np.ones(ids.size)
+    for index, loop in enumerate(ir.loops):
+        iterations = instances * loop.bound.trips(args, ids)
+        per_trip = spec.loop_overhead_cycles
+        if index == len(ir.loops) - 1:
+            per_trip /= ir.unroll_factor * max(1, ir.vector_width)
+            if ir.prefetch:
+                per_trip += 0.6
+        bookkeeping += instances * spec.loop_setup_cycles
+        bookkeeping += iterations * per_trip
+        instances = iterations
+    exposed = cost.latency_cycles + atomic + bookkeeping
+
+    group_start, group_end = variant.groups_for_units(units)
+    offsets = (
+        np.arange(group_start, group_end, dtype=np.int64) * variant.wa_factor
+        - units.start
+    )
+    fixed = (
+        device.scratchpad_cycles_per_group(ir)
+        + spec.workgroup_dispatch_overhead
+    )
+    return (
+        np.maximum(
+            np.add.reduceat(compute, offsets),
+            np.add.reduceat(cost.bandwidth_cycles, offsets),
+        )
+        + np.add.reduceat(exposed, offsets)
+        + fixed
+    )
+
+
+#: Cases whose pools carry data-dependent loop bounds, with the device
+#: each is priced on.
+ONE_PASS_CASES = {
+    "histogram-skewed": (
+        lambda config: histogram.swap_case("skewed", 40 * 1024 + 300, config),
+        make_cpu,
+    ),
+    "spmv-csr-random": (
+        lambda config: spmv_csr.input_dependent_case("cpu", "random", 2048, config),
+        make_cpu,
+    ),
+    "spmv-jds": (lambda config: spmv_jds.schedule_case(1024, config), make_cpu),
+    "particle-filter": (
+        lambda config: particle_filter.placement_case(4000, config),
+        make_gpu,
+    ),
+}
+
+
+class TestOnePassPricing:
+    @pytest.mark.parametrize("name", sorted(ONE_PASS_CASES))
+    def test_each_loop_bound_evaluated_once_per_pricing(self, name, config):
+        """One ``workgroup_cycles`` call runs every loop-bound evaluator
+        exactly once, and prices exactly as the count-by-count formula."""
+        build, make_device = ONE_PASS_CASES[name]
+        case = build(config)
+        device = make_device(config)
+        model = CostModel(device)
+        dynamic_loops = 0
+        for variant in case.pool.variants:
+            wa = variant.wa_factor
+            for units in (
+                WorkRange(0, case.workload_units),
+                WorkRange(wa, min(case.workload_units, 5 * wa)),
+            ):
+                calls = Counter()
+                args = case.fresh_args()
+                cycles = model.workgroup_cycles(
+                    counting_variant(variant, calls), args, units
+                )
+                dynamic = [
+                    loop.name
+                    for loop in variant.ir.loops
+                    if loop.bound.evaluator is not None
+                ]
+                dynamic_loops += len(dynamic)
+                assert calls == Counter(dict.fromkeys(dynamic, 1)), (
+                    variant.name
+                )
+                expected = reference_workgroup_cycles(
+                    device, variant, args, units
+                )
+                assert cycles.shape == expected.shape
+                assert (cycles == expected).all(), variant.name
+        assert dynamic_loops > 0, f"{name} prices no data-dependent bound"

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.device.engine import (
-    FAST_BATCH_THRESHOLD,
-    ExecutionEngine,
-    Priority,
-)
+from repro.device.engine import ExecutionEngine, Priority
 from repro.errors import EngineError
 from repro.kernel import AccessPattern, WorkRange
 from tests.conftest import (
     AXPY_UNIT,
     axpy_output_ok,
+    forced_engine_path,
     make_axpy_args,
     make_axpy_variant,
 )
@@ -166,26 +163,32 @@ class TestMeasurement:
 
 
 class TestFastBatch:
-    def test_fast_batch_matches_event_path_roughly(self, cpu, quiet_config):
-        """The analytic makespan must track the event-driven one."""
+    def test_fast_batch_matches_forced_event_path_exactly(
+        self, cpu, quiet_config
+    ):
+        """Two back-to-back waits schedule identically with the analytic
+        drain and with the forced per-work-group path, to the float."""
         variant = make_axpy_variant("v", trips=50)
-        units = FAST_BATCH_THRESHOLD + 100
-        args = make_axpy_args(units, quiet_config)
+        units = 4196
 
-        fast_engine = ExecutionEngine(cpu, quiet_config)
-        task = fast_engine.submit(variant, args, WorkRange(0, units))
-        fast_engine.wait(task)
-        fast_span = task.true_span_cycles
+        def run(drain):
+            args = make_axpy_args(units, quiet_config)
+            with forced_engine_path(drain):
+                engine = ExecutionEngine(cpu, quiet_config)
+                first = engine.submit(variant, args, WorkRange(0, units // 2))
+                engine.wait(first)
+                second = engine.submit(
+                    variant, args, WorkRange(units // 2, units)
+                )
+                engine.wait(second)
+            return (
+                [(t.first_start, t.last_end) for t in (first, second)],
+                engine.now,
+                engine.utilization(),
+                sorted(engine._unit_heap),
+            )
 
-        # Split into two sub-threshold halves to force the event path.
-        slow_engine = ExecutionEngine(cpu, quiet_config)
-        first = slow_engine.submit(variant, args, WorkRange(0, units // 2))
-        slow_engine.wait(first)
-        second = slow_engine.submit(variant, args, WorkRange(units // 2, units))
-        slow_engine.wait(second)
-        event_span = second.last_end - first.first_start
-
-        assert fast_span == pytest.approx(event_span, rel=0.05)
+        assert run(drain=True) == run(drain=False)
 
 
 class TestBarrier:

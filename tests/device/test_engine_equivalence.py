@@ -30,7 +30,6 @@ chaos_seed = seed(CHAOS_SEED)
 
 from repro.config import ReproConfig  # noqa: E402
 from repro.core.runtime import DySelRuntime  # noqa: E402
-from repro.device import engine as engine_mod  # noqa: E402
 from repro.device import make_cpu  # noqa: E402
 from repro.device.engine import ExecutionEngine, Priority  # noqa: E402
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule  # noqa: E402
@@ -38,42 +37,21 @@ from repro.kernel import AccessPattern, WorkRange  # noqa: E402
 from repro.modes import OrchestrationFlow, ProfilingMode  # noqa: E402
 from repro.obs import reconcile  # noqa: E402
 from tests.conftest import (  # noqa: E402
+    forced_engine_path,
     make_axpy_args,
     make_axpy_variant,
 )
 
-#: The three scheduling paths, as (FAST_BATCH_THRESHOLD, VECTORIZED_BATCH)
-#: forcings.  ``event`` never reaches the analytic drain; ``fast`` drains
-#: analytically but group-by-group; ``vectorized`` additionally collapses
-#: equal-duration batches into the numpy closed form.
+#: The three scheduling paths, as ``(drain, vectorized)`` forcings of
+#: :func:`forced_engine_path`.  ``event`` never reaches the analytic
+#: drain; ``fast`` drains analytically but group-by-group; ``vectorized``
+#: additionally collapses equal-duration batches into the numpy closed
+#: form.
 PATHS = {
-    "event": (10**9, False),
-    "fast": (1, False),
-    "vectorized": (1, True),
+    "event": (False, False),
+    "fast": (True, False),
+    "vectorized": (True, True),
 }
-
-
-class _ForcedPath:
-    """Context manager pinning the engine's path-selection constants."""
-
-    def __init__(self, threshold: int, vectorized: bool) -> None:
-        self.forced = (threshold, vectorized)
-
-    def __enter__(self):
-        self.saved = (
-            engine_mod.FAST_BATCH_THRESHOLD,
-            engine_mod.VECTORIZED_BATCH,
-        )
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
-            self.forced
-        )
-        return self
-
-    def __exit__(self, *exc):
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = (
-            self.saved
-        )
-        return False
 
 
 def snapshot(engine, tasks, argsets):
@@ -111,9 +89,9 @@ def assert_snapshots_equal(reference, other, label):
         assert np.array_equal(ref_y, other_y), (label, "outputs")
 
 
-def run_scenario(config, plan, threshold, vectorized, engine_cls=ExecutionEngine):
+def run_scenario(config, plan, drain, vectorized, engine_cls=ExecutionEngine):
     """Drive one submit/poll/wait scenario under a forced path."""
-    with _ForcedPath(threshold, vectorized):
+    with forced_engine_path(drain, vectorized):
         engine = engine_cls(make_cpu(config), config)
         tasks, argsets = [], []
         for step in plan:
@@ -188,8 +166,8 @@ def test_deadline_waits_and_hang_cleanup_agree(noisy):
     if not noisy:
         config = config.without_noise()
 
-    def run(threshold, vectorized):
-        with _ForcedPath(threshold, vectorized):
+    def run(drain, vectorized):
+        with forced_engine_path(drain, vectorized):
             engine = ExecutionEngine(make_cpu(config), config)
             plan = FaultPlan(
                 [FaultRule(kind=FaultKind.HANG, variant="hung")], seed=3
@@ -239,8 +217,8 @@ def test_latency_faults_agree(noisy):
         }
     ] * 3
 
-    def run(threshold, vectorized):
-        with _ForcedPath(threshold, vectorized):
+    def run(drain, vectorized):
+        with forced_engine_path(drain, vectorized):
             engine = ExecutionEngine(make_cpu(config), config)
             engine.injector = FaultInjector(
                 FaultPlan(
@@ -293,8 +271,8 @@ def test_traced_launches_identical_and_reconcile(fast_slow_pool, mode, flow):
     """
     units = 192
 
-    def run(threshold, vectorized):
-        with _ForcedPath(threshold, vectorized):
+    def run(drain, vectorized):
+        with forced_engine_path(drain, vectorized):
             config = dataclasses.replace(ReproConfig(), trace=True)
             runtime = DySelRuntime(make_cpu(config), config)
             runtime.register_pool(fast_slow_pool)
@@ -353,10 +331,10 @@ def test_vectorized_closed_form_engages(quiet_config):
             collapsed.append(True)
             return super()._vector_rounds(arrival, d, count, busy)
 
-    def run(threshold, vectorized):
+    def run(drain, vectorized):
         drained.clear()
         collapsed.clear()
-        with _ForcedPath(threshold, vectorized):
+        with forced_engine_path(drain, vectorized):
             variant = make_axpy_variant("v", trips=16)
             args = make_axpy_args(64, quiet_config)
             engine = Probe(make_cpu(quiet_config), quiet_config)

@@ -2,9 +2,11 @@
 
 ``ExecutionEngine._try_fast_batch`` claims bit-identical unit free
 times, task intervals, busy cycles, and measurements — not an
-approximation.  This suite forces both paths over the same seeded
-workload by shrinking/raising ``FAST_BATCH_THRESHOLD`` and asserts
-equality down to the float.
+approximation.  The engine takes it on every unbounded advance with no
+pending arrival; this suite forces the per-work-group path instead by
+patching the hook to refuse (``forced_engine_path(drain=False)``), runs
+both over the same seeded workload, and asserts equality down to the
+float.
 """
 
 from __future__ import annotations
@@ -23,18 +25,18 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 chaos_seed = seed(CHAOS_SEED)
 
 from repro.config import ReproConfig  # noqa: E402
-from repro.device import engine as engine_mod  # noqa: E402
 from repro.device import make_cpu  # noqa: E402
 from repro.device.engine import ExecutionEngine  # noqa: E402
 from repro.kernel import AccessPattern, WorkRange  # noqa: E402
 from tests.conftest import (  # noqa: E402
+    forced_engine_path,
     make_axpy_args,
     make_axpy_variant,
 )
 
 
-def run_batch(config, units, trips, pattern, threshold):
-    """One seeded single-task batch under a given fast-batch threshold.
+def run_batch(config, units, trips, pattern, drain):
+    """One seeded single-task batch with the analytic drain on or off.
 
     Returns ``(task, engine, y)``: the finished task, its engine (for
     clock/busy accounting), and the committed output vector.
@@ -42,13 +44,9 @@ def run_batch(config, units, trips, pattern, threshold):
     variant = make_axpy_variant("v", pattern, trips=trips)
     args = make_axpy_args(units, config)
     engine = ExecutionEngine(make_cpu(config), config)
-    original = engine_mod.FAST_BATCH_THRESHOLD
-    engine_mod.FAST_BATCH_THRESHOLD = threshold
-    try:
+    with forced_engine_path(drain):
         task = engine.submit(variant, args, WorkRange(0, units), measure=True)
         engine.wait(task)
-    finally:
-        engine_mod.FAST_BATCH_THRESHOLD = original
     return task, engine, np.array(args["y"].data, copy=True)
 
 
@@ -67,13 +65,11 @@ def test_fast_batch_is_exact(units, trips, strided, noisy, root_seed):
     if not noisy:
         config = config.without_noise()
     pattern = AccessPattern.STRIDED if strided else AccessPattern.UNIT_STRIDE
-    # Threshold 1 forces the fast path for the whole batch; an oversized
-    # threshold forces the per-work-group event path.
     fast_task, fast_engine, fast_y = run_batch(
-        config, units, trips, pattern, threshold=1
+        config, units, trips, pattern, drain=True
     )
     event_task, event_engine, event_y = run_batch(
-        config, units, trips, pattern, threshold=10**9
+        config, units, trips, pattern, drain=False
     )
 
     assert fast_task.finished and event_task.finished
@@ -92,8 +88,8 @@ def test_fast_batch_is_exact(units, trips, strided, noisy, root_seed):
 
 
 def test_fast_path_actually_engages(quiet_config):
-    """Guard against vacuity: the shrunk threshold must take the fast
-    path, and the oversized one must not."""
+    """Guard against vacuity: a wait on a small batch takes the fast path
+    by default, and the forced per-work-group path does not."""
     taken = []
 
     class Probe(ExecutionEngine):
@@ -104,32 +100,48 @@ def test_fast_path_actually_engages(quiet_config):
 
     variant = make_axpy_variant("v", trips=16)
     units = 64
-    original = engine_mod.FAST_BATCH_THRESHOLD
-    try:
-        engine_mod.FAST_BATCH_THRESHOLD = 1
+    engine = Probe(make_cpu(quiet_config), quiet_config)
+    task = engine.submit(
+        variant, make_axpy_args(units, quiet_config), WorkRange(0, units)
+    )
+    engine.wait(task)
+    assert taken == [True]
+
+    taken.clear()
+    with forced_engine_path(drain=False):
         engine = Probe(make_cpu(quiet_config), quiet_config)
         task = engine.submit(
             variant, make_axpy_args(units, quiet_config), WorkRange(0, units)
         )
         engine.wait(task)
-        assert any(taken)
-
-        taken.clear()
-        engine_mod.FAST_BATCH_THRESHOLD = 10**9
-        engine = Probe(make_cpu(quiet_config), quiet_config)
-        task = engine.submit(
-            variant, make_axpy_args(units, quiet_config), WorkRange(0, units)
-        )
-        engine.wait(task)
-        assert not any(taken)
-    finally:
-        engine_mod.FAST_BATCH_THRESHOLD = original
+    assert task.finished
+    assert taken and not any(taken)
 
 
-def test_threshold_shrinks_via_monkeypatch(monkeypatch, quiet_config):
-    """The documented test hook: monkeypatching the module constant is
-    enough to steer the path (no engine-construction argument needed)."""
-    monkeypatch.setattr(engine_mod, "FAST_BATCH_THRESHOLD", 2)
+def test_drain_refuses_outside_its_preconditions(quiet_config):
+    """The hook drains nothing while an arrival is pending or to a
+    bounded horizon, and everything once neither holds."""
+    engine = ExecutionEngine(make_cpu(quiet_config), quiet_config)
+    task = engine.submit(
+        make_axpy_variant("v", trips=16),
+        make_axpy_args(32, quiet_config),
+        WorkRange(0, 32),
+    )
+    assert engine._try_fast_batch(float("inf")) is False
+    engine._deliver_arrivals(task.arrival_time)
+    assert engine._try_fast_batch(task.arrival_time + 1e9) is False
+    assert task.completed_work_groups == 0
+    assert engine._try_fast_batch(float("inf")) is True
+    assert task.finished
+
+
+def test_drain_hook_patches_via_monkeypatch(monkeypatch, quiet_config):
+    """The documented test hook: monkeypatching ``_try_fast_batch`` to
+    refuse is enough to steer the path (no engine-construction argument
+    needed), and the per-work-group path still finishes and measures."""
+    monkeypatch.setattr(
+        ExecutionEngine, "_try_fast_batch", lambda self, horizon: False
+    )
     variant = make_axpy_variant("v", trips=16)
     args = make_axpy_args(32, quiet_config)
     engine = ExecutionEngine(make_cpu(quiet_config), quiet_config)
@@ -141,13 +153,13 @@ def test_threshold_shrinks_via_monkeypatch(monkeypatch, quiet_config):
 
 
 def test_split_batches_take_the_generalized_fast_path(quiet_config):
-    """Two interleaved tasks now drain through the fast path *and* agree
+    """Two interleaved tasks drain through the fast path *and* agree
     exactly with the event path.
 
     The original fast path bailed out on multi-task queues; the
     generalized drain handles any ready mix (an unconditional greedy
-    list schedule once arrivals are empty), so a shrunk threshold must
-    engage it — and the result must still be bit-identical."""
+    list schedule once arrivals are empty), so it must engage here —
+    and the result must still be bit-identical."""
     taken = []
 
     class Probe(ExecutionEngine):
@@ -156,10 +168,8 @@ def test_split_batches_take_the_generalized_fast_path(quiet_config):
             taken.append(result)
             return result
 
-    def run(engine_cls, threshold):
-        original = engine_mod.FAST_BATCH_THRESHOLD
-        try:
-            engine_mod.FAST_BATCH_THRESHOLD = threshold
+    def run(engine_cls, drain):
+        with forced_engine_path(drain):
             engine = engine_cls(make_cpu(quiet_config), quiet_config)
             variant = make_axpy_variant("v", trips=16)
             args = make_axpy_args(64, quiet_config)
@@ -167,12 +177,10 @@ def test_split_batches_take_the_generalized_fast_path(quiet_config):
             second = engine.submit(variant, args, WorkRange(32, 64))
             engine.wait_all([first, second])
             return engine, first, second, args
-        finally:
-            engine_mod.FAST_BATCH_THRESHOLD = original
 
-    fast = run(Probe, threshold=1)
+    fast = run(Probe, drain=True)
     assert any(taken), "split batches no longer reach the fast path"
-    event = run(ExecutionEngine, threshold=10**9)
+    event = run(ExecutionEngine, drain=False)
     for fast_task, event_task in zip(fast[1:3], event[1:3]):
         assert fast_task.finished and event_task.finished
         assert fast_task.first_start == event_task.first_start

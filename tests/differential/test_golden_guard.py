@@ -3,9 +3,9 @@
 ``test_differential`` checks each launch against ``goldens.json`` under
 whatever path the engine picks by default.  This guard removes the
 "whatever the engine picks": every catalog case × mode × flow runs twice
-— once with the analytic/vectorized drain forced *on* for all batch
-sizes, once with it forced *off* (pure event machinery) — and the two
-output digests must agree with each other and with the recorded golden.
+— once with the analytic/vectorized drain *on* (the default), once with
+it forced *off* (pure event machinery) — and the two output digests
+must agree with each other and with the recorded golden.
 A divergence here is the exact regression the vectorization work could
 introduce: a schedule change that moves a slice boundary or flips a
 winner while each individual run still looks self-consistent.
@@ -18,7 +18,7 @@ import warnings
 import pytest
 
 from repro.core.runtime import DySelRuntime
-from repro.device import engine as engine_mod
+from tests.conftest import forced_engine_path
 
 from .catalog import CATALOG
 from .test_differential import (
@@ -30,18 +30,15 @@ from .test_differential import (
     output_digest,
 )
 
-#: (FAST_BATCH_THRESHOLD, VECTORIZED_BATCH) forcings under test.
+#: ``(drain, vectorized)`` forcings of ``forced_engine_path`` under test.
 FORCINGS = {
-    "vectorized-on": (1, True),
-    "vectorized-off": (10**9, False),
+    "vectorized-on": (True, True),
+    "vectorized-off": (False, False),
 }
 
 
-def _launch_digest(case_id, mode, flow, threshold, vectorized):
-    saved = (engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH)
-    engine_mod.FAST_BATCH_THRESHOLD = threshold
-    engine_mod.VECTORIZED_BATCH = vectorized
-    try:
+def _launch_digest(case_id, mode, flow, drain, vectorized):
+    with forced_engine_path(drain, vectorized):
         case, device, config = build_case(case_id)
         runtime = DySelRuntime(device, config)
         runtime.register_pool(case.pool)
@@ -57,11 +54,9 @@ def _launch_digest(case_id, mode, flow, threshold, vectorized):
             )
         assert case.validate(args), (
             f"{case_id} diverges from its reference with "
-            f"threshold={threshold}, vectorized={vectorized}"
+            f"drain={drain}, vectorized={vectorized}"
         )
         return output_digest(case, args), result.selected
-    finally:
-        engine_mod.FAST_BATCH_THRESHOLD, engine_mod.VECTORIZED_BATCH = saved
 
 
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.value)
@@ -73,8 +68,8 @@ def test_forced_paths_agree_with_each_other_and_the_golden(
     if REGEN:
         pytest.skip("golden regeneration runs the primary suite only")
     digests = {
-        label: _launch_digest(case_id, mode, flow, threshold, vectorized)
-        for label, (threshold, vectorized) in FORCINGS.items()
+        label: _launch_digest(case_id, mode, flow, drain, vectorized)
+        for label, (drain, vectorized) in FORCINGS.items()
     }
     on_digest, on_selected = digests["vectorized-on"]
     off_digest, off_selected = digests["vectorized-off"]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import ReproConfig
 from repro.device import make_cpu
+from repro.device.engine import ExecutionEngine
 from repro.errors import ServeError
 from repro.obs.export import reconcile
 from repro.obs.events import EventKind
@@ -130,6 +131,45 @@ class TestWarmStore:
         assert len(store) == 1
         make_scheduler(config, fast_slow_pool, store=store)
         assert len(store) == 1
+
+
+class TestWarmLaunchDrain:
+    def test_serving_sized_warm_launch_drains_analytically(
+        self, fast_slow_pool, config, monkeypatch
+    ):
+        """A warm store-hit launch of at most 512 work-groups is one
+        analytic drain of all its work-groups: nothing is left to the
+        per-work-group loop, whatever the queue size."""
+        scheduler = make_scheduler(config, fast_slow_pool, devices=1)
+        scheduler.launch(make_batch(config, 1)[0])  # profiles, publishes
+
+        submitted, drains = [], []
+        submit = ExecutionEngine.submit
+        drain = ExecutionEngine._try_fast_batch
+
+        def recording_submit(self, *args, **kwargs):
+            task = submit(self, *args, **kwargs)
+            submitted.append(task)
+            return task
+
+        def recording_drain(self, horizon):
+            pending = [
+                task.total_work_groups - task.completed_work_groups
+                for task in submitted
+            ]
+            drained = drain(self, horizon)
+            drains.append((drained, pending))
+            return drained
+
+        monkeypatch.setattr(ExecutionEngine, "submit", recording_submit)
+        monkeypatch.setattr(ExecutionEngine, "_try_fast_batch", recording_drain)
+        outcome = scheduler.launch(make_batch(config, 1)[0])
+
+        assert outcome.store_hit and not outcome.profiled
+        assert [task.total_work_groups for task in submitted] == [UNITS]
+        assert UNITS <= 512
+        assert drains == [(True, [UNITS])]
+        assert submitted[0].finished
 
 
 class TestInvalidation:
