@@ -12,6 +12,11 @@ Validates the docs tree (and README.md) without a network connection:
 4. **API coverage is strict** — every public name in the ``__all__`` of
    the documented layer modules (``API_MODULES``) must appear in
    ``docs/api.md``, so new public surface cannot ship undocumented.
+5. **Cited artifacts exist and passed** — every ``BENCH_*.json`` or
+   ``TRACE_*.json`` named in these pages or in EXPERIMENTS.md must exist
+   at the repository root, and no boolean in a BENCH file's
+   ``acceptance`` block may be false, so a quoted number always has a
+   committed run behind it that met its own gates.
 
 Exits non-zero listing every problem; CI runs this next to the test
 suite.
@@ -19,7 +24,9 @@ suite.
 
 from __future__ import annotations
 
+import glob
 import importlib
+import json
 import os
 import re
 import sys
@@ -44,6 +51,9 @@ PAGES = (
     "docs/traffic.md",
 )
 
+#: Pages whose cited benchmark artifacts must exist.
+ARTIFACT_PAGES = PAGES + ("EXPERIMENTS.md",)
+
 #: Modules whose entire ``__all__`` must appear in ``docs/api.md``.
 API_MODULES = (
     "repro",
@@ -60,6 +70,7 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$", re.MULTILINE)
 _CODE_REF_RE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 _FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+_ARTIFACT_RE = re.compile(r"\b(?:BENCH|TRACE)_\w+\.json\b")
 
 
 def github_slug(heading: str) -> str:
@@ -159,6 +170,39 @@ def check_api_coverage() -> List[str]:
     return problems
 
 
+def check_artifacts(
+    root: str = REPO_ROOT, pages: Tuple[str, ...] = ARTIFACT_PAGES
+) -> List[str]:
+    """Missing cited artifacts and failed BENCH acceptance checks.
+
+    Artifacts are named bare and live at ``root``; every ``BENCH_*.json``
+    there is checked, cited or not.
+    """
+    problems: List[str] = []
+    cited: Dict[str, str] = {}
+    for page in pages:
+        path = os.path.join(root, page)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                for name in _ARTIFACT_RE.findall(handle.read()):
+                    cited.setdefault(name, page)
+    for name, page in sorted(cited.items()):
+        if not os.path.exists(os.path.join(root, name)):
+            problems.append(f"{page}: cited artifact missing -> {name}")
+    for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
+        name = os.path.basename(path)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                acceptance = json.load(handle).get("acceptance", {})
+        except ValueError as exc:
+            problems.append(f"{name}: unreadable ({exc})")
+            continue
+        for check, value in sorted(acceptance.items()):
+            if value is False:
+                problems.append(f"{name}: acceptance check failed -> {check}")
+    return problems
+
+
 def run() -> Tuple[int, List[str]]:
     """Check every page; returns (pages checked, problems)."""
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -175,6 +219,7 @@ def run() -> Tuple[int, List[str]]:
         problems += check_code_refs(page, text)
         checked += 1
     problems += check_api_coverage()
+    problems += check_artifacts()
     return checked, problems
 
 

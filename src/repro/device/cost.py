@@ -48,7 +48,8 @@ def ir_hash(ir: KernelIR) -> str:
     static analyses never look through them, so two IRs differing only in
     evaluator bodies hash identically — which is exactly why the cost-kernel
     memo below refuses to cache IRs that carry any evaluator at all
-    (:func:`statically_priced`).
+    (:func:`statically_priced`).  A constant ``footprint_hint`` is hashed
+    by value, so IRs differing only in footprint bytes never share an entry.
     """
     parts = []
     for loop in ir.loops:
@@ -61,6 +62,7 @@ def ir_hash(ir: KernelIR) -> str:
             f"loop:{loop.name}:{bound}:{loop.is_work_item_loop}:{loop.has_early_exit}"
         )
     for access in ir.accesses:
+        hint = access.footprint_hint
         parts.append(
             "access:" + ":".join(
                 str(x)
@@ -75,7 +77,7 @@ def ir_hash(ir: KernelIR) -> str:
                     access.atomic.value,
                     access.working_set_hint,
                     access.stride_evaluator is not None,
-                    access.footprint_hint is not None,
+                    "evaluator" if callable(hint) else hint,
                     access.strides_by_loop,
                 )
             )
@@ -106,15 +108,16 @@ def statically_priced(ir: KernelIR) -> bool:
     """True when an IR's pricing cannot depend on runtime data.
 
     An IR is statically priced when no loop bound, stride, or footprint is
-    evaluator-driven: every per-unit cost term is then a function of IR
-    constants and buffer shapes only, identical across units — the
-    precondition for the cost-kernel memo (and the reason ``ir_hash``'s
-    evaluator-blindness is safe there).
+    evaluator-driven (a constant ``footprint_hint`` is fine): every
+    per-unit cost term is then a function of IR constants and buffer
+    shapes only, identical across units — the precondition for the
+    cost-kernel memo (and the reason ``ir_hash``'s evaluator-blindness is
+    safe there).
     """
     if any(loop.bound.evaluator is not None for loop in ir.loops):
         return False
     return all(
-        access.stride_evaluator is None and access.footprint_hint is None
+        access.stride_evaluator is None and not callable(access.footprint_hint)
         for access in ir.accesses
     )
 

@@ -164,21 +164,22 @@ class MemoryModel:
     ) -> np.ndarray:
         """Per-unit working set relevant to an access's locality.
 
-        Precedence: the access's ``footprint_hint`` evaluator (true
-        per-unit locality from the data), then the resolved
-        ``working_set_hint`` buffer's size, then the accessed buffer's own
-        footprint, then "DRAM-sized".
+        Precedence: the access's ``footprint_hint`` (a constant, or an
+        evaluator giving true per-unit locality from the data), then the
+        resolved ``working_set_hint`` buffer's size, then the accessed
+        buffer's own footprint, then "DRAM-sized".
         """
-        if access.footprint_hint is not None:
-            ws = np.asarray(
-                access.footprint_hint(args, unit_ids), dtype=float
-            )
+        hint = access.footprint_hint
+        if callable(hint):
+            ws = np.asarray(hint(args, unit_ids), dtype=float)
             if ws.shape != unit_ids.shape:
                 raise DeviceError(
                     f"footprint_hint for {access.buffer!r} returned shape "
                     f"{ws.shape}, expected {unit_ids.shape}"
                 )
             return ws
+        if hint is not None:
+            return np.full(unit_ids.shape, float(hint))
         target = hint_buffer if hint_buffer is not None else buffer
         if target is not None:
             return np.full(unit_ids.shape, float(target.nbytes))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -194,12 +194,13 @@ class MemoryAccess:
     #: a 1-nnz-per-row matrix makes the "uncoalesced" scalar kernel
     #: perfectly coalesced).  When None, the static pattern governs.
     stride_evaluator: Optional[Evaluator] = None
-    #: Optional evaluator of the access's *per-unit* working-set footprint
-    #: in bytes: (args, unit_ids) -> bytes touched by one unit.  When set,
-    #: it overrides the buffer-size working set for cache-level selection
-    #: and gather hit-rate estimation — this is how input locality (e.g.
-    #: the diagonal matrix's 1-nnz rows) reaches the cost model.
-    footprint_hint: Optional[Evaluator] = None
+    #: Optional *per-unit* working-set footprint in bytes: a constant, or
+    #: an evaluator (args, unit_ids) -> bytes touched by each unit.  When
+    #: set, it overrides the buffer-size working set for cache-level
+    #: selection and gather hit-rate estimation.  An evaluator is how input
+    #: locality (e.g. the diagonal matrix's 1-nnz rows) reaches the cost
+    #: model; a constant keeps the access statically priced.
+    footprint_hint: Optional[Union[float, Evaluator]] = None
     #: Optional per-loop byte strides of the access's index expression:
     #: how far the address moves per step of each loop variable.  Used by
     #: the schedule transform and the locality-centric heuristic to derive
@@ -211,6 +212,12 @@ class MemoryAccess:
         if self.bytes_per_trip < 0:
             raise IRError(
                 f"bytes_per_trip must be >= 0, got {self.bytes_per_trip} "
+                f"for access to {self.buffer!r}"
+            )
+        hint = self.footprint_hint
+        if not (hint is None or callable(hint) or 0 <= hint < float("inf")):
+            raise IRError(
+                f"constant footprint_hint must be finite and >= 0, got {hint} "
                 f"for access to {self.buffer!r}"
             )
         if self.pattern is AccessPattern.STRIDED and self.stride_bytes <= 0:

@@ -92,20 +92,25 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
 
 
 def _diag_trips(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:
-    """Mean diagonals (nonzeros) per row of each unit's rows."""
+    """Mean diagonals (nonzeros) per row of each unit's rows.
+
+    Row sums are differences of one integer prefix sum over the rows the
+    units span, so each mean equals ``np.mean`` over the unit's rows.
+    """
     matrix: JdsMatrix = args["matrix"]  # type: ignore[assignment]
     rows = matrix.rows
-    sums = np.zeros(len(unit_ids))
-    for index, unit in enumerate(np.asarray(unit_ids)):
-        lo = int(unit) * ROWS_PER_UNIT
-        hi = min(lo + ROWS_PER_UNIT, rows)
-        sums[index] = float(np.mean(matrix.row_nnz[lo:hi])) if hi > lo else 0.0
-    return np.maximum(sums, 1.0)
+    lo = np.minimum(np.asarray(unit_ids, dtype=np.int64) * ROWS_PER_UNIT, rows)
+    hi = np.minimum(lo + ROWS_PER_UNIT, rows)
+    first = lo.min(initial=rows)
+    span = matrix.row_nnz[first : hi.max(initial=first)]
+    prefix = np.concatenate(([0], np.cumsum(span, dtype=np.int64)))
+    sums, counts = prefix[hi - first] - prefix[lo - first], hi - lo
+    means = np.divide(sums, counts, out=np.zeros(len(lo)), where=counts > 0)
+    return np.maximum(means, 1.0)
 
 
 def _nnz_footprint(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:
     """Bytes of data/col a unit touches."""
-    matrix: JdsMatrix = args["matrix"]  # type: ignore[assignment]
     return 4.0 * ROWS_PER_UNIT * _diag_trips(args, unit_ids)
 
 

@@ -196,6 +196,25 @@ def fast_slow_pool(axpy_spec):
     )
 
 
+@pytest.hookimpl(hookwrapper=True)
+def pytest_fixture_setup(fixturedef, request):
+    """Clear the cost-kernel memo after any broader-scoped fixture sets up.
+
+    Class-, module- and session-scoped fixtures set up before the
+    function-scoped leak guard below; one that prices a statically priced
+    kernel (building or running a case) fills the memo, which would make
+    the guard fail at setup — and a guard that fails at setup never
+    reaches the teardown that clears the memo, so every later test would
+    error too.  The memo is a pure cache, so dropping it changes nothing
+    the fixture built.
+    """
+    from repro.device.cost import clear_cost_memo
+
+    yield
+    if fixturedef.scope != "function":
+        clear_cost_memo()
+
+
 @pytest.fixture(autouse=True)
 def _no_global_state_leaks():
     """Fail any test that leaves shared module state mutated.

@@ -11,21 +11,26 @@ re-register-mid-launch race).
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from repro.analyze.catalog import example_entries
 from repro.core.runtime import DySelRuntime
 from repro.device import make_cpu, make_gpu
 from repro.device.cost import (
     CostModel,
+    clear_cost_memo,
     cost_memo_stats,
     invalidate_cost_memo,
     ir_hash,
     statically_priced,
 )
-from repro.errors import KernelError
+from repro.errors import IRError, KernelError
 from repro.kernel import (
     AccessPattern,
     KernelIR,
@@ -35,6 +40,16 @@ from repro.kernel import (
     MemoryAccess,
     WorkRange,
 )
+from repro.workloads import (
+    cutcp,
+    histogram,
+    kmeans,
+    particle_filter,
+    sgemm,
+    spmv_csr,
+    spmv_jds,
+    stencil,
+)
 from tests.conftest import (
     AXPY_UNIT,
     axpy_executor,
@@ -42,6 +57,10 @@ from tests.conftest import (
     make_axpy_args,
     make_axpy_variant,
 )
+
+#: Replay locally with ``REPRO_CHAOS_SEED=<seed>`` (same convention as
+#: the chaos suite; the CI flakiness job randomizes it).
+CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 
 def make_dynamic_variant(name: str, kind: str) -> KernelVariant:
@@ -188,6 +207,166 @@ class TestStaticallyPriced:
         second = make_dynamic_variant("b", "stride")
         assert first.ir is not second.ir
         assert ir_hash(first.ir) == ir_hash(second.ir)
+
+
+def with_x_footprint(variant: KernelVariant, footprint) -> KernelVariant:
+    """The variant with ``footprint_hint`` set on its ``x`` access."""
+    x, *rest = variant.ir.accesses
+    access = dataclasses.replace(x, footprint_hint=footprint)
+    return dataclasses.replace(
+        variant, ir=variant.ir.with_(accesses=(access, *rest))
+    )
+
+
+class TestConstantFootprint:
+    def test_constant_footprint_is_statically_priced_and_cached(
+        self, quiet_config
+    ):
+        variant = with_x_footprint(make_axpy_variant("v"), 4096.0)
+        assert statically_priced(variant.ir)
+        model = CostModel(make_cpu(quiet_config))
+        args = make_axpy_args(32, quiet_config)
+        cold = model.workgroup_cycles(variant, args, WorkRange(0, 32))
+        warm = model.workgroup_cycles(variant, args, WorkRange(0, 32))
+        assert cost_memo_stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert warm is cold
+
+    def test_constant_prices_like_the_equivalent_evaluator(self, quiet_config):
+        """A constant is the array the old ``np.full`` closures built."""
+        constant = with_x_footprint(make_axpy_variant("c"), 4096.0)
+        closure = with_x_footprint(
+            make_axpy_variant("e"),
+            lambda args, unit_ids: np.full(unit_ids.shape, 4096.0),
+        )
+        model = CostModel(make_cpu(quiet_config))
+        args = make_axpy_args(32, quiet_config)
+        assert np.array_equal(
+            model.workgroup_cycles(constant, args, WorkRange(0, 32)),
+            model.workgroup_cycles(closure, args, WorkRange(0, 32)),
+        )
+
+    def test_hash_tells_footprint_values_apart(self, quiet_config):
+        """IRs identical except for a constant footprint's value never
+        share a memo entry, and neither does the evaluator form (a gather
+        prices its footprint's cache level)."""
+        base = make_axpy_variant("v", AccessPattern.GATHER)
+        small = with_x_footprint(base, 1024.0)
+        large = with_x_footprint(base, 1 << 26)
+        closure = with_x_footprint(
+            base, lambda args, unit_ids: np.full(unit_ids.shape, 1024.0)
+        )
+        hashes = {ir_hash(v.ir) for v in (base, small, large, closure)}
+        assert len(hashes) == 4
+        model = CostModel(make_cpu(quiet_config))
+        args = make_axpy_args(32, quiet_config)
+        small_cycles = model.workgroup_cycles(small, args, WorkRange(0, 32))
+        large_cycles = model.workgroup_cycles(large, args, WorkRange(0, 32))
+        assert cost_memo_stats() == {"entries": 2, "hits": 0, "misses": 2}
+        assert not np.array_equal(small_cycles, large_cycles)
+
+    @pytest.mark.parametrize(
+        "footprint", [-1.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_negative_or_non_finite_constant_is_rejected(self, footprint):
+        with pytest.raises(IRError, match="footprint_hint"):
+            with_x_footprint(make_axpy_variant("v"), footprint)
+
+    def test_zero_constant_is_accepted(self):
+        assert statically_priced(
+            with_x_footprint(make_axpy_variant("v"), 0).ir
+        )
+
+
+def _pool_variants(*cases):
+    return [variant for case in cases for variant in case.pool.variants]
+
+
+class TestCatalogPricing:
+    def test_constant_footprint_workloads_are_statically_priced(self, config):
+        """Every variant of the kmeans, cutcp, stencil and sgemm pools."""
+        variants = _pool_variants(
+            kmeans.schedule_case(8192, config),
+            cutcp.schedule_case((16, 16, 8), 2000, config),
+            cutcp.mixed_case("cpu", (16, 16, 8), 2000, config),
+            cutcp.mixed_case("gpu", (16, 16, 8), 2000, config),
+            stencil.schedule_case((32, 32, 4), config),
+            stencil.mixed_case("cpu", (32, 32, 4), config),
+            stencil.mixed_case("gpu", (32, 32, 4), config),
+            sgemm.vectorization_case(64, config),
+            sgemm.schedule_case(64, config),
+            sgemm.mixed_case("cpu", 64, config),
+            sgemm.mixed_case("gpu", 64, config),
+        )
+        assert len(variants) > 80
+        assert [v.name for v in variants if not statically_priced(v.ir)] == []
+
+    def test_data_dependent_workloads_stay_uncached(self, config):
+        """Input-dependent pricing must never reach the memo."""
+        variants = _pool_variants(
+            spmv_csr.schedule_case("random", 1024, config),
+            spmv_csr.placement_case(1024, config),
+            spmv_csr.input_dependent_case("cpu", "random", 1024, config),
+            spmv_jds.vectorization_case(1024, config),
+            spmv_jds.schedule_case(1024, config),
+            spmv_jds.mixed_case("gpu", 1024, config),
+            particle_filter.placement_case(4000, config),
+        )
+        swap = histogram.swap_case("uniform", 1 << 14, config)
+        variants.append(swap.pool.variant("atomic"))
+        assert [v.name for v in variants if statically_priced(v.ir)] == []
+
+
+@pytest.fixture(scope="module")
+def static_catalog():
+    """(label, variant, args, units) for every statically priced variant
+    of the example catalog, with one argument mapping per case."""
+    found = []
+    for label, entry in example_entries():
+        args = entry.case.fresh_args()
+        for variant in entry.case.pool.variants:
+            if statically_priced(variant.ir):
+                found.append(
+                    (label, variant, args, entry.case.workload_units)
+                )
+    return found
+
+
+class TestMemoPositionIndependence:
+    def test_catalog_covers_the_constant_footprint_workloads(
+        self, static_catalog
+    ):
+        labels = {label.split("/")[0] for label, *_ in static_catalog}
+        assert {"kmeans", "cutcp", "stencil", "sgemm"} <= labels
+        assert any(variant.wa_factor > 1 for _, variant, *_ in static_catalog)
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_hit_at_any_aligned_range_equals_uncached(
+        self, static_catalog, data
+    ):
+        """The memo keys on range length alone: an entry filled at one
+        wa-aligned start serves every other wa-aligned start of that
+        length with exactly the array a fresh derivation gives there."""
+        label, variant, args, units = data.draw(
+            st.sampled_from(static_catalog), label="variant"
+        )
+        make_device = data.draw(st.sampled_from([make_cpu, make_gpu]))
+        model = CostModel(make_device())
+        wa = variant.wa_factor
+        starts = st.integers(0, (units - 1) // wa).map(lambda g: g * wa)
+        start, fill_start = data.draw(starts), data.draw(starts)
+        length = data.draw(st.integers(1, units - max(start, fill_start)))
+        here = WorkRange(start, start + length)
+        clear_cost_memo()
+        model.workgroup_cycles(
+            variant, args, WorkRange(fill_start, fill_start + length)
+        )
+        hit = model.workgroup_cycles(variant, args, here)
+        assert cost_memo_stats() == {"entries": 1, "hits": 1, "misses": 1}
+        uncached = model._workgroup_cycles_uncached(variant, args, here)
+        assert hit.shape == uncached.shape
+        assert (hit == uncached).all(), (label, variant.name)
 
 
 class TestInvalidation:

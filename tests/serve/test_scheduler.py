@@ -7,11 +7,13 @@ import pytest
 
 from repro.config import ReproConfig
 from repro.device import make_cpu
+from repro.device.cost import cost_memo_stats
 from repro.device.engine import ExecutionEngine
 from repro.errors import ServeError
 from repro.obs.export import reconcile
 from repro.obs.events import EventKind
 from repro.serve import LaunchScheduler, SelectionStore, ServeRequest
+from repro.workloads import kmeans
 from repro.workloads.base import BenchmarkCase
 from repro.harness import run_served
 from tests.conftest import axpy_output_ok, make_axpy_args
@@ -170,6 +172,35 @@ class TestWarmLaunchDrain:
         assert UNITS <= 512
         assert drains == [(True, [UNITS])]
         assert submitted[0].finished
+
+
+class TestWarmLaunchMemo:
+    def test_warm_kmeans_launch_is_priced_from_the_memo(self, config):
+        """kmeans's footprints are constants, so its variants are
+        statically priced: once a whole-launch range has been priced, a
+        warm store-hit launch of the same class derives nothing."""
+        case = kmeans.schedule_case(256 * kmeans.POINTS_PER_UNIT, config)
+        scheduler = LaunchScheduler(make_fleet(config, 1))
+        scheduler.register_pool(case.pool)
+
+        def launch():
+            request = ServeRequest(
+                kernel=case.pool.name,
+                args=case.fresh_args(),
+                workload_units=case.workload_units,
+            )
+            outcome = scheduler.launch(request)
+            assert case.validate(request.args)
+            return outcome
+
+        assert launch().profiled  # profiles slices, publishes
+        launch()  # first whole-launch pricing of the winner
+        before = cost_memo_stats()
+        outcome = launch()
+        after = cost_memo_stats()
+        assert outcome.store_hit and not outcome.profiled
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
 
 
 class TestInvalidation:
