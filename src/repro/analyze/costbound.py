@@ -1,19 +1,18 @@
 """Static cost-bound analysis: sound cycle intervals per (variant, device).
 
-This module abstract-interprets a :class:`~repro.kernel.ir.KernelIR`
-against a device model and produces a **sound interval** ``[lo, hi]`` (in
-engine cycles) that is guaranteed to contain the true noise-free cost the
-mechanistic cost model (:mod:`repro.device.cost`) would charge:
-
-* quantities the IR states exactly — static loop trips, access patterns,
-  stride/placement facts, vector width, divergence, scratchpad bytes —
-  evaluate exactly, mirroring the device formulas term by term;
-* quantities only the *data* determines — data-dependent
-  :class:`~repro.kernel.ir.LoopBound` trips, gather working sets, buffer
-  sizes, dynamic strides — **widen** to configured worst/best-case bounds
-  (cache-hierarchy extremes, the :class:`WideningPolicy` trip bounds), so
-  the interval stays a superset of any runtime behaviour within those
-  bounds.
+This module produces a **sound interval** ``[lo, hi]`` (in engine cycles)
+guaranteed to contain the noise-free cost the mechanistic cost model
+(:mod:`repro.device.cost`) would charge.  It has no cost formula of its
+own: it runs the device's :func:`~repro.device.cost.price_units` on two
+pseudo-units, the best case and the worst case.  What the IR states
+exactly (static trips, patterns, placements, transform state) is the same
+for both; what only the *data* determines **widens** to endpoints —
+data-dependent trips to the :class:`WideningPolicy` bounds, working sets
+and dynamic strides to ``[0, inf]``, buffer sizes to ``inf`` — and the
+memory model is a widened view of the device's own, whose data-dependent
+primitives answer the cache hierarchy's best and worst case.  Everything
+else the device prices is non-decreasing in the widened inputs, so the
+two units price ``lo`` and ``hi``.
 
 The interval brackets :meth:`repro.device.cost.CostModel.launch_cycles` —
 the serialized work-group cycles the engine uses as its noise-free truth.
@@ -22,32 +21,40 @@ top of that in the engine and are *not* part of the interval; dominance
 comparisons between variants of one pool are unaffected because those
 terms are variant-independent.
 
-Soundness contract (checked by the hypothesis property suite):
+Soundness contract (checked by the property suite and on every example
+pool):
 
 * the workload's data-dependent trip counts lie inside the policy's
   ``data_trip_bounds``;
+* outside the primitives the view widens, a device's pricing never falls
+  as trips, working sets or dynamic strides grow (true of the CPU and GPU
+  models; a new device must keep it);
 * buffers are served from their IR-declared placement (or the default
   global space) — re-binding a buffer into texture/constant space at
   launch time without an IR placement is outside the contract.
 
-Results are cached module-wide, keyed by a structural IR hash plus the
-device kind and widening policy, so verifying many pools over shared IRs
-costs one evaluation each.
+Results are cached module-wide, keyed by :func:`repro.device.cost.ir_hash`
+(re-exported here; blind to evaluator bodies, which the bound never calls)
+plus the device kind and widening policy, so verifying many pools over
+shared IRs costs one evaluation each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+import math
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..device import make_cpu, make_gpu
 from ..device.base import Device
-from ..device.cost import ir_hash as _device_ir_hash
-from ..device.memory import ELEM_BYTES
+from ..device.cost import ir_hash, placed_space, price_units, workgroup_fixed_cycles
+from ..device.memory import MemoryModel
 from ..kernel.buffers import MemorySpace
-from ..kernel.ir import AccessPattern, AtomicKind, KernelIR, MemoryAccess
+from ..kernel.ir import KernelIR, LoopBound, TripTable
 from ..kernel.kernel import KernelVariant
 
 
@@ -245,233 +252,103 @@ def cache_size() -> int:
     return len(_BOUND_CACHE)
 
 
-def ir_hash(ir: KernelIR) -> str:
-    """Stable structural hash of an IR.
-
-    Callables (data-dependent evaluators) are replaced by a fixed marker:
-    the *bounds* never look through them, so two IRs differing only in
-    evaluator bodies have identical cost intervals and may share a cache
-    entry.
-
-    The hash itself lives in :func:`repro.device.cost.ir_hash` (the
-    engine's cost-kernel memo keys on it too); this module re-exports it
-    so analysis callers keep their import path.
-    """
-    return _device_ir_hash(ir)
-
-
 # ----------------------------------------------------------------------
-# Interval evaluation
+# Endpoint evaluation
 # ----------------------------------------------------------------------
 
 
-def _loop_trip_interval(ir: KernelIR, name: str, policy: WideningPolicy) -> Interval:
-    """Trip-count interval of one loop."""
-    bound = ir.loop_named(name).bound
-    if bound.static_trips is not None:
-        return point(float(bound.static_trips))
-    return policy.trip_interval
+class _WidenedMemory:
+    """Mixin placed ahead of a device's memory model class (:func:`_widened`).
 
-
-def _access_trip_interval(
-    ir: KernelIR, access: MemoryAccess, policy: WideningPolicy
-) -> Interval:
-    """Execution-count interval of an access site (mirrors ``access_trips``)."""
-    if access.scope is not None:
-        names = access.scope
-    else:
-        names = tuple(loop.name for loop in ir.enclosing_loops(access.loop))
-    counts = point(1.0)
-    for name in names:
-        counts = counts * _loop_trip_interval(ir, name, policy)
-    return counts
-
-
-def _innermost_trip_interval(ir: KernelIR, policy: WideningPolicy) -> Interval:
-    """Interval of total innermost-loop executions per unit."""
-    if not ir.loops:
-        return point(1.0)
-    counts = point(1.0)
-    for loop in ir.loops:
-        counts = counts * _loop_trip_interval(ir, loop.name, policy)
-    return counts
-
-
-def _bookkeeping_interval(
-    ir: KernelIR, device: Device, policy: WideningPolicy
-) -> Interval:
-    """Interval of per-unit loop setup/branch cycles (mirrors the model)."""
-    spec = device.spec
-    bookkeeping = ZERO
-    instances = point(1.0)
-    for index, loop in enumerate(ir.loops):
-        trips = _loop_trip_interval(ir, loop.name, policy)
-        iterations = instances * trips
-        per_trip = spec.loop_overhead_cycles
-        if index == len(ir.loops) - 1:
-            per_trip /= ir.unroll_factor * max(1, ir.vector_width)
-            if ir.prefetch:
-                per_trip += 0.6
-        bookkeeping = bookkeeping + instances.scale(spec.loop_setup_cycles)
-        bookkeeping = bookkeeping + iterations.scale(per_trip)
-        instances = iterations
-    return bookkeeping
-
-
-def _compute_interval(
-    ir: KernelIR, device: Device, policy: WideningPolicy
-) -> Interval:
-    """Interval of per-unit compute cycles.
-
-    Every device's ``compute_cycles`` is linear in flops with a
-    nonnegative coefficient, so evaluating it at the flop endpoints
-    yields the exact image of the flop interval.
+    The device's own ``access_cost`` runs unchanged; stream cycles answer
+    the first level's and DRAM's bandwidth, gather latencies the smallest
+    and largest level latency.  ``stream_bandwidth`` stays exact: at
+    working sets ``[0, inf]`` it too answers the first level and DRAM,
+    which bracket every level because :class:`MemoryModel` rejects a
+    hierarchy whose bandwidth rises going outward.  Each primitive notes
+    what the analysis could not know; an access keeps its first note.
     """
-    trips = _innermost_trip_interval(ir, policy)
-    flops = Interval(
-        ir.flops_fixed + ir.flops_per_trip * trips.lo,
-        ir.flops_fixed + ir.flops_per_trip * trips.hi,
+
+    def _note(self, text: str) -> None:
+        """Record ``text`` unless the current access already has a note."""
+        if not self._noted and text not in self.notes:
+            self.notes.append(text)
+        self._noted = True
+
+    def access_cost(self, access, *args, **kwargs):
+        """The device's own formula, with the access's note reset."""
+        self._pattern, self._noted = access.pattern.value, False
+        return super().access_cost(access, *args, **kwargs)
+
+    def stream_cycles(
+        self, useful_bytes, working_set, buffer_bytes, amplification=1.0, space=None
+    ):
+        """Every byte at the first level's, then at DRAM's bandwidth."""
+        self._note("stream working set unknown")
+        return np.asarray(useful_bytes, dtype=float) * amplification / self._stream_bw
+
+    def gather_latency(self, *_args, **_kwargs):
+        """The smallest and the largest level latency."""
+        self._note("gather hit rates unknown")
+        return self._latency
+
+    gather_latency_mixed = gather_latency
+
+    def stride_amplification(self, stride_bytes):
+        """Exact; notes that the strided stream's working set is unknown."""
+        self._note(f"{self._pattern} working set unknown")
+        return super().stride_amplification(stride_bytes)
+
+    def stream_bandwidth(self, working_set_bytes):
+        """Exact; notes that the access's working set is unknown."""
+        self._note(f"{self._pattern} working set unknown")
+        return super().stream_bandwidth(working_set_bytes)
+
+
+class _StrideEndpoints:
+    """Dynamic-stride endpoints ``[0, inf]`` that note the device reading
+    them (through the numpy array protocol)."""
+
+    def __init__(self, memory: _WidenedMemory) -> None:
+        self._memory = memory
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        self._memory._note("dynamic stride unknown")
+        return np.array([0.0, np.inf], dtype=dtype)
+
+
+#: The two pseudo-units (best case, worst case) and their working sets.
+_ENDPOINTS = np.arange(2, dtype=np.int64)
+_WORKING_SETS = np.array([0.0, np.inf])
+
+
+@lru_cache(maxsize=None)
+def _widened_class(model_class: type) -> type:
+    """``model_class`` with :class:`_WidenedMemory` ahead in its MRO."""
+    return type(f"Widened{model_class.__name__}", (_WidenedMemory, model_class), {})
+
+
+def _widened(memory: MemoryModel) -> _WidenedMemory:
+    """A widened view of ``memory`` with an empty note list."""
+    view = copy.copy(memory)
+    view.__class__ = _widened_class(type(memory))
+    latencies = [level.latency_cycles for level in (*memory.levels, memory.dram)]
+    view._stream_bw = memory.stream_bandwidth(_WORKING_SETS)
+    view._latency = np.array([min(latencies), max(latencies)])
+    view.notes = []
+    return view
+
+
+def _endpoint_ir(ir: KernelIR, policy: WideningPolicy) -> KernelIR:
+    """``ir`` with each data-dependent loop bound answering the policy's
+    trip bounds on the two pseudo-units (static bounds stay)."""
+    trips = np.array(policy.data_trip_bounds, dtype=float)
+    endpoints = LoopBound(evaluator=lambda args, unit_ids: trips)
+    loops = tuple(
+        replace(loop, bound=endpoints) if loop.bound.is_data_dependent else loop
+        for loop in ir.loops
     )
-    cycles = device.compute_cycles(
-        ir, np.array([flops.lo, flops.hi]), ir.work_group_threads
-    )
-    return Interval(float(cycles[0]), float(cycles[1]))
-
-
-def _memory_extremes(device: Device) -> Tuple[float, float, float, float]:
-    """(min_bw, max_bw, min_latency, max_latency) over the hierarchy.
-
-    ``stream_bandwidth`` always returns some level's (or DRAM's)
-    bandwidth and ``gather_latency``/``gather_latency_mixed`` are convex
-    combinations of level latencies, so the hierarchy extremes bound any
-    working set the data might produce.
-    """
-    levels = device.memory.levels + (device.memory.dram,)
-    bws = [level.bytes_per_cycle for level in levels]
-    lats = [level.latency_cycles for level in levels]
-    return min(bws), max(bws), min(lats), max(lats)
-
-
-def _resolved_space(ir: KernelIR, access: MemoryAccess) -> MemorySpace:
-    """Memory space after IR placements (default: global)."""
-    placements = dict(ir.placements)
-    return MemorySpace(placements.get(access.buffer, "global"))
-
-
-def _cpu_access_intervals(
-    access: MemoryAccess,
-    useful: Interval,
-    ir: KernelIR,
-    device: Device,
-) -> Tuple[Interval, Interval, Optional[str]]:
-    """(bandwidth, latency) intervals of one access site on the CPU."""
-    memory = device.memory
-    spec = memory._spec
-    min_bw, max_bw, min_lat, max_lat = _memory_extremes(device)
-    pattern = access.pattern
-    width = ir.vector_width
-    irregular = pattern is AccessPattern.GATHER or ir.divergence > 0
-    if width > 1 and irregular:
-        pack = 1.0 + spec.simd_pack_overhead * (width - 1) * (0.5 + ir.divergence)
-    else:
-        pack = 1.0
-    elems = useful.scale(1.0 / ELEM_BYTES)
-
-    if pattern in (AccessPattern.UNIT_STRIDE, AccessPattern.COALESCED):
-        bw = Interval(useful.lo * pack / max_bw, useful.hi * pack / min_bw)
-        return bw, ZERO, "stream working set unknown"
-
-    if pattern is AccessPattern.STRIDED:
-        amp = memory.stride_amplification(access.stride_bytes)
-        bw = Interval(
-            useful.lo * amp * pack / max_bw, useful.hi * amp * pack / min_bw
-        )
-        if access.stride_bytes >= memory.line_bytes:
-            scale = pack / (2.0 * spec.gather_mlp)
-            lat = Interval(elems.lo * min_lat * scale, elems.hi * max_lat * scale)
-        else:
-            lat = ZERO
-        return bw, lat, "strided working set unknown"
-
-    if pattern is AccessPattern.GATHER:
-        bw = Interval(useful.lo * pack / max_bw, useful.hi * pack / min_bw)
-        scale = pack / spec.gather_mlp
-        lat = Interval(elems.lo * min_lat * scale, elems.hi * max_lat * scale)
-        return bw, lat, "gather hit rates unknown"
-
-    if pattern is AccessPattern.BROADCAST:
-        bw = useful.scale(1.0 / (4.0 * memory.levels[0].bytes_per_cycle))
-        return bw, ZERO, None
-
-    raise AssertionError(f"unhandled access pattern {pattern!r}")
-
-
-def _gpu_access_intervals(
-    access: MemoryAccess,
-    useful: Interval,
-    ir: KernelIR,
-    device: Device,
-) -> Tuple[Interval, Interval, Optional[str]]:
-    """(bandwidth, latency) intervals of one access site on the GPU."""
-    memory = device.memory
-    spec = memory._spec
-    min_bw, max_bw, min_lat, max_lat = _memory_extremes(device)
-    pattern = access.pattern
-    space = _resolved_space(ir, access)
-    elems = useful.scale(1.0 / ELEM_BYTES)
-
-    if space is MemorySpace.TEXTURE:
-        stream_scale = 1.0 / spec.texture_stream_scale
-    elif space is MemorySpace.CONSTANT:
-        stream_scale = 8.0
-    else:
-        stream_scale = 1.0
-
-    def stream(amp_lo: float, amp_hi: float) -> Interval:
-        return Interval(
-            useful.lo * amp_lo * stream_scale / max_bw,
-            useful.hi * amp_hi * stream_scale / min_bw,
-        )
-
-    if pattern is AccessPattern.COALESCED:
-        return stream(1.0, 1.0), ZERO, "stream working set unknown"
-
-    if pattern is AccessPattern.UNIT_STRIDE:
-        max_amp = spec.uncoalesced_amplification
-        if access.stride_evaluator is not None:
-            return stream(1.0, max_amp), ZERO, "dynamic stride unknown"
-        return stream(max_amp, max_amp), ZERO, "stream working set unknown"
-
-    if pattern is AccessPattern.STRIDED:
-        amp = min(
-            memory.stride_amplification(access.stride_bytes),
-            spec.uncoalesced_amplification,
-        )
-        return stream(amp, amp), ZERO, "strided working set unknown"
-
-    if pattern is AccessPattern.GATHER:
-        if space is MemorySpace.TEXTURE:
-            hiding, amp = spec.texture_latency_hiding, 2.0
-        elif space is MemorySpace.CONSTANT:
-            hiding, amp = 4.0, 4.0
-        else:
-            hiding, amp = spec.latency_hiding, 4.0
-        hiding /= 1.0 + ir.divergence
-        if ir.prefetch:
-            hiding *= 1.5 if space is not MemorySpace.TEXTURE else 1.05
-        bw = Interval(useful.lo * amp / max_bw, useful.hi * amp / min_bw)
-        lat = Interval(elems.lo * min_lat / hiding, elems.hi * max_lat / hiding)
-        return bw, lat, "gather hit rates unknown"
-
-    if pattern is AccessPattern.BROADCAST:
-        if space is MemorySpace.CONSTANT:
-            return useful.scale(1.0 / 256.0), ZERO, None
-        clamp_bw = float(memory.stream_bandwidth(64.0 * 1024.0))
-        best_bw = memory.levels[0].bytes_per_cycle
-        bw = Interval(useful.lo / best_bw, useful.hi / clamp_bw)
-        return bw, ZERO, "broadcast working set unknown"
-
-    raise AssertionError(f"unhandled access pattern {pattern!r}")
+    return replace(ir, loops=loops)
 
 
 def variant_cost_bound(
@@ -510,44 +387,31 @@ def variant_cost_bound(
         _BOUND_CACHE[key] = bound
         return bound
 
-    ir = variant.ir
+    ir = _endpoint_ir(variant.ir, policy)
+    memory = _widened(device.memory)
+    placements = dict(ir.placements)
+    sites = [
+        (
+            MemorySpace(placed_space(placements, access, None)),
+            _WORKING_SETS,
+            math.inf,
+            _StrideEndpoints(memory) if access.stride_evaluator else None,
+        )
+        for access in ir.accesses
+    ]
+    costs = price_units(device, memory, ir, TripTable(ir, {}, _ENDPOINTS), sites)
     widened = []
     if ir.has_data_dependent_bounds:
         widened.append("data-dependent loop bounds")
-
-    access_fn = _cpu_access_intervals if device.kind == "cpu" else _gpu_access_intervals
-    bandwidth = ZERO
-    latency = ZERO
-    atomics = ZERO
-    for access in ir.accesses:
-        trips = _access_trip_interval(ir, access, policy)
-        useful = trips.scale(access.bytes_per_trip)
-        bw, lat, reason = access_fn(access, useful, ir, device)
-        bandwidth = bandwidth + bw
-        latency = latency + lat
-        if reason is not None and reason not in widened:
-            widened.append(reason)
-        if access.atomic is AtomicKind.GLOBAL:
-            atomics = atomics + useful.scale(
-                device.atomic_cycles_per_op() / ELEM_BYTES
-            )
-
-    bookkeeping = _bookkeeping_interval(ir, device, policy)
-    compute = _compute_interval(ir, device, policy)
-    exposed = latency + atomics + bookkeeping
-    fixed = (
-        device.scratchpad_cycles_per_group(ir)
-        + device.spec.workgroup_dispatch_overhead
-    )
     bound = VariantCostBound(
         variant=variant.name,
         device_kind=device.kind,
-        compute=compute,
-        bandwidth=bandwidth,
-        exposed=exposed,
-        fixed_cycles=float(fixed),
+        compute=Interval(*costs.compute_cycles.tolist()),
+        bandwidth=Interval(*costs.bandwidth_cycles.tolist()),
+        exposed=Interval(*costs.exposed_cycles.tolist()),
+        fixed_cycles=float(workgroup_fixed_cycles(device, ir)),
         wa_factor=variant.wa_factor,
-        widened=tuple(widened),
+        widened=tuple(widened + memory.notes),
     )
     _BOUND_CACHE[key] = bound
     return bound

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..errors import VerificationError
 from ..modes import OrchestrationFlow, ProfilingMode

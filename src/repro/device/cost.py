@@ -34,10 +34,10 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from ..kernel.buffers import Buffer, MemorySpace
-from ..kernel.ir import AtomicKind, KernelIR, TripTable
+from ..kernel.ir import AtomicKind, KernelIR, MemoryAccess, TripTable
 from ..kernel.kernel import KernelVariant, WorkRange
 from .base import Device
-from .memory import ELEM_BYTES, AccessCost
+from .memory import ELEM_BYTES, AccessCost, MemoryModel
 
 
 @lru_cache(maxsize=4096)
@@ -195,6 +195,93 @@ class UnitCostBreakdown:
     exposed_cycles: np.ndarray  # latency + atomics + loop overhead
 
 
+#: What pricing reads about one access site besides the IR and trips:
+#: ``(space, working_set, buffer_bytes, dynamic_stride)``.  A launch binds
+#: it from its arguments; the static cost bound passes endpoints.
+AccessSite = Tuple[MemorySpace, np.ndarray, float, Optional[np.ndarray]]
+
+
+def placed_space(
+    placements: Mapping[str, str], access: MemoryAccess, buffer: Optional[Buffer]
+) -> str:
+    """Memory space serving an access: its IR placement, else the bound
+    buffer's space, else global."""
+    default = buffer.space.value if buffer is not None else "global"
+    return placements.get(access.buffer, default)
+
+
+def workgroup_fixed_cycles(device: Device, ir: KernelIR) -> float:
+    """Per-work-group cycles independent of the units it covers:
+    scratchpad staging plus dispatch."""
+    return (
+        device.scratchpad_cycles_per_group(ir)
+        + device.spec.workgroup_dispatch_overhead
+    )
+
+
+def price_units(
+    device: Device,
+    memory: MemoryModel,
+    ir: KernelIR,
+    trips: TripTable,
+    sites: Iterable[AccessSite],
+) -> UnitCostBreakdown:
+    """Per-unit cost components of ``ir`` on ``device``: the one home of
+    the pricing formula.
+
+    ``sites`` holds one :data:`AccessSite` per ``ir.accesses`` entry;
+    ``memory`` is ``device.memory``, or the static cost bound's widened
+    view of it (:mod:`repro.analyze.costbound`).
+    """
+    compute = device.compute_cycles(ir, trips.flops(), ir.work_group_threads)
+    cost = AccessCost.zero(trips.units)
+    atomic_cycles = np.zeros(trips.units)
+    for access, (space, working_set, buffer_bytes, stride) in zip(
+        ir.accesses, sites
+    ):
+        useful_bytes = access.bytes_per_trip * trips.access(access)
+        cost = cost + memory.access_cost(
+            access, useful_bytes, working_set, buffer_bytes, ir, space, stride
+        )
+        if access.atomic is AtomicKind.GLOBAL:
+            atomic_cycles += useful_bytes / ELEM_BYTES * device.atomic_cycles_per_op()
+
+    exposed = (
+        cost.latency_cycles + atomic_cycles + _loop_bookkeeping(device, ir, trips)
+    )
+    return UnitCostBreakdown(compute, cost.bandwidth_cycles, exposed)
+
+
+def _loop_bookkeeping(device: Device, ir: KernelIR, trips: TripTable) -> np.ndarray:
+    """Per-unit loop setup and trip bookkeeping cycles.
+
+    Every loop charges a setup cost per *instance* (once per iteration
+    of its enclosing loops) and a per-trip branch cost; only the
+    innermost loop's trips are amortized by unrolling.  Short
+    data-dependent inner loops are therefore setup-dominated, which is
+    what makes loop order matter for irregular inputs (paper §4.4's
+    DFO/BFO crossover).
+    """
+    spec = device.spec
+    bookkeeping = np.zeros(trips.units)
+    instances = np.ones(trips.units)
+    for index, loop in enumerate(ir.loops):
+        iterations = instances * trips.by_loop[loop.name]
+        per_trip = spec.loop_overhead_cycles
+        if index == len(ir.loops) - 1:
+            # The innermost loop's bookkeeping amortizes over both
+            # unrolling and SIMD lanes (a vectorized loop takes 1/w
+            # as many trips).
+            per_trip /= ir.unroll_factor * max(1, ir.vector_width)
+            if ir.prefetch:
+                # Prefetch instructions occupy an issue slot per trip.
+                per_trip += 0.6
+        bookkeeping += instances * spec.loop_setup_cycles
+        bookkeeping += iterations * per_trip
+        instances = iterations
+    return bookkeeping
+
+
 class CostModel:
     """Prices work-groups of a variant on one device."""
 
@@ -275,19 +362,11 @@ class CostModel:
         fingerprint = []
         for access in ir.accesses:
             buffer = self._buffer_arg(args, access.buffer)
-            space = placements.get(
-                access.buffer,
-                buffer.space.value if buffer is not None else "global",
-            )
-            hint = (
-                self._buffer_arg(args, access.working_set_hint)
-                if access.working_set_hint
-                else None
-            )
+            hint = self._buffer_arg(args, access.working_set_hint)
             fingerprint.append(
                 (
                     float(buffer.nbytes) if buffer is not None else None,
-                    space,
+                    placed_space(placements, access, buffer),
                     float(hint.nbytes) if hint is not None else None,
                 )
             )
@@ -309,20 +388,12 @@ class CostModel:
         unit_ids = np.arange(units.start, units.end, dtype=np.int64)
         breakdown = self.unit_costs(variant.ir, args, unit_ids)
 
-        group_start, group_end = variant.groups_for_units(units)
-        factor = variant.wa_factor
-        offsets = (
-            np.arange(group_start, group_end, dtype=np.int64) * factor
-            - units.start
-        )
+        offsets = variant.group_ids_for_units(units) * variant.wa_factor - units.start
         compute = np.add.reduceat(breakdown.compute_cycles, offsets)
         bandwidth = np.add.reduceat(breakdown.bandwidth_cycles, offsets)
         exposed = np.add.reduceat(breakdown.exposed_cycles, offsets)
 
-        per_group_fixed = (
-            self.device.scratchpad_cycles_per_group(variant.ir)
-            + self.device.spec.workgroup_dispatch_overhead
-        )
+        per_group_fixed = workgroup_fixed_cycles(self.device, variant.ir)
         return np.maximum(compute, bandwidth) + exposed + per_group_fixed
 
     def unit_costs(
@@ -333,91 +404,28 @@ class CostModel:
     ) -> UnitCostBreakdown:
         """Evaluate per-unit cost components for the given unit ids.
 
-        Each loop bound is evaluated once (:class:`TripTable`); flops,
-        access-site counts and loop bookkeeping all read that table.
+        Binds each loop bound once (:class:`TripTable`) and each access
+        site's facts from ``args``, then prices them with
+        :func:`price_units`.
         """
         ids = np.asarray(unit_ids, dtype=np.int64)
         trips = TripTable(ir, args, ids)
-        compute = self.device.compute_cycles(
-            ir, trips.flops(), self._wg_size(ir)
-        )
-
-        cost = AccessCost.zero(ids.size)
-        atomic_cycles = np.zeros(ids.size)
-        placements = dict(ir.placements)
         memory = self.device.memory
+        placements = dict(ir.placements)
+        sites = []
         for access in ir.accesses:
-            useful_bytes = access.bytes_per_trip * trips.access(access)
             buffer = self._buffer_arg(args, access.buffer)
-            space = MemorySpace(
-                placements.get(
-                    access.buffer,
-                    buffer.space.value if buffer is not None else "global",
+            hint = self._buffer_arg(args, access.working_set_hint)
+            stride = access.stride_evaluator
+            sites.append(
+                (
+                    MemorySpace(placed_space(placements, access, buffer)),
+                    memory.working_set(access, args, ids, buffer, hint),
+                    float(buffer.nbytes) if buffer is not None else float("inf"),
+                    None if stride is None else np.asarray(stride(args, ids), float),
                 )
             )
-            hint = (
-                self._buffer_arg(args, access.working_set_hint)
-                if access.working_set_hint
-                else None
-            )
-            working_set = memory.working_set(access, args, ids, buffer, hint)
-            buffer_bytes = (
-                float(buffer.nbytes) if buffer is not None else float("inf")
-            )
-            dynamic_stride = (
-                np.asarray(access.stride_evaluator(args, ids), dtype=float)
-                if access.stride_evaluator is not None
-                else None
-            )
-            cost = cost + memory.access_cost(
-                access,
-                useful_bytes,
-                working_set,
-                buffer_bytes,
-                ir,
-                space,
-                dynamic_stride=dynamic_stride,
-            )
-            if access.atomic is AtomicKind.GLOBAL:
-                ops = useful_bytes / ELEM_BYTES
-                atomic_cycles += ops * self.device.atomic_cycles_per_op()
-
-        bookkeeping = self._loop_bookkeeping(ir, trips)
-        exposed = cost.latency_cycles + atomic_cycles + bookkeeping
-        return UnitCostBreakdown(
-            compute_cycles=compute,
-            bandwidth_cycles=cost.bandwidth_cycles,
-            exposed_cycles=exposed,
-        )
-
-    def _loop_bookkeeping(self, ir: KernelIR, trips: TripTable) -> np.ndarray:
-        """Per-unit loop setup and trip bookkeeping cycles.
-
-        Every loop charges a setup cost per *instance* (once per iteration
-        of its enclosing loops) and a per-trip branch cost; only the
-        innermost loop's trips are amortized by unrolling.  Short
-        data-dependent inner loops are therefore setup-dominated, which is
-        what makes loop order matter for irregular inputs (paper §4.4's
-        DFO/BFO crossover).
-        """
-        spec = self.device.spec
-        bookkeeping = np.zeros(trips.units)
-        instances = np.ones(trips.units)
-        for index, loop in enumerate(ir.loops):
-            iterations = instances * trips.by_loop[loop.name]
-            per_trip = spec.loop_overhead_cycles
-            if index == len(ir.loops) - 1:
-                # The innermost loop's bookkeeping amortizes over both
-                # unrolling and SIMD lanes (a vectorized loop takes 1/w
-                # as many trips).
-                per_trip /= ir.unroll_factor * max(1, ir.vector_width)
-                if ir.prefetch:
-                    # Prefetch instructions occupy an issue slot per trip.
-                    per_trip += 0.6
-            bookkeeping += instances * spec.loop_setup_cycles
-            bookkeeping += iterations * per_trip
-            instances = iterations
-        return bookkeeping
+        return price_units(self.device, memory, ir, trips, sites)
 
     def launch_cycles(
         self,
@@ -437,16 +445,11 @@ class CostModel:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _wg_size(ir: KernelIR) -> int:
-        """Work-group thread count hint used by compute-efficiency rules."""
-        return ir.work_group_threads
-
-    @staticmethod
     def _buffer_arg(
         args: Mapping[str, object], name: Optional[str]
     ) -> Optional[Buffer]:
         """Resolve an argument to a Buffer, or None for scalars/missing."""
-        if name is None:
+        if not name:
             return None
         value = args.get(name)
         return value if isinstance(value, Buffer) else None

@@ -57,13 +57,13 @@ class GpuMemoryModel(MemoryModel):
         super().__init__(levels, dram)
         self._spec = spec
 
-    def _stream_cycles_gpu(
+    def stream_cycles(
         self,
         useful_bytes,
         working_set,
         buffer_bytes: float,
-        space: MemorySpace,
         amplification: float = 1.0,
+        space: MemorySpace = MemorySpace.GLOBAL,
     ):
         """Reuse-aware streaming with Kepler's L1 policy.
 
@@ -74,7 +74,7 @@ class GpuMemoryModel(MemoryModel):
         reuse the L1 will not provide.)
         """
         if space is MemorySpace.TEXTURE:
-            return self.stream_cycles(
+            return super().stream_cycles(
                 useful_bytes, working_set, buffer_bytes, amplification
             )
         useful = np.asarray(useful_bytes, dtype=float) * amplification
@@ -116,8 +116,8 @@ class GpuMemoryModel(MemoryModel):
             stream_scale = 1.0
 
         if pattern is AccessPattern.COALESCED:
-            cycles = self._stream_cycles_gpu(
-                useful_bytes, working_set, buffer_bytes, space
+            cycles = self.stream_cycles(
+                useful_bytes, working_set, buffer_bytes, space=space
             )
             return AccessCost(cycles * stream_scale, np.zeros(count))
 
@@ -134,16 +134,12 @@ class GpuMemoryModel(MemoryModel):
                     1.0,
                     max_amp,
                 )
-                fresh = self._stream_cycles_gpu(
-                    useful_bytes, working_set, buffer_bytes, space
+                fresh = self.stream_cycles(
+                    useful_bytes, working_set, buffer_bytes, space=space
                 )
                 return AccessCost(fresh * amp * stream_scale, np.zeros(count))
-            cycles = self._stream_cycles_gpu(
-                useful_bytes,
-                working_set,
-                buffer_bytes,
-                space,
-                amplification=max_amp,
+            cycles = self.stream_cycles(
+                useful_bytes, working_set, buffer_bytes, max_amp, space
             )
             return AccessCost(cycles * stream_scale, np.zeros(count))
 
@@ -152,8 +148,8 @@ class GpuMemoryModel(MemoryModel):
                 self.stride_amplification(access.stride_bytes),
                 self._spec.uncoalesced_amplification,
             )
-            cycles = self._stream_cycles_gpu(
-                useful_bytes, working_set, buffer_bytes, space, amplification=amp
+            cycles = self.stream_cycles(
+                useful_bytes, working_set, buffer_bytes, amp, space
             )
             return AccessCost(cycles * stream_scale, np.zeros(count))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import DeviceError
 from ..kernel.buffers import Buffer, MemorySpace
-from ..kernel.ir import AccessPattern, KernelIR, MemoryAccess
+from ..kernel.ir import KernelIR, MemoryAccess
 
 #: Element size assumed for stride amplification.  All reproduction
 #: workloads use float32 / int32 data.
@@ -87,6 +87,10 @@ class MemoryModel:
     rules; this base provides the shared machinery — level selection by
     working set, stride amplification, and gather hit-rate estimation —
     all vectorized over per-unit working sets.
+
+    Levels are ordered closest first: sizes must not shrink and streaming
+    bandwidth must not rise going outward, so the first level and DRAM
+    bracket every stream (the static cost bound relies on this).
     """
 
     def __init__(self, levels: Sequence[CacheLevel], dram: CacheLevel) -> None:
@@ -97,6 +101,11 @@ class MemoryModel:
             raise DeviceError(
                 "cache levels must be ordered smallest (closest) first; got "
                 f"sizes {sizes}"
+            )
+        bandwidths = [level.bytes_per_cycle for level in (*levels, dram)]
+        if bandwidths != sorted(bandwidths, reverse=True):
+            raise DeviceError(
+                f"bandwidth must not rise going outward; got {bandwidths}"
             )
         self.levels: Tuple[CacheLevel, ...] = tuple(levels)
         self.dram = dram
@@ -217,6 +226,7 @@ class MemoryModel:
         working_set: np.ndarray,
         buffer_bytes: float,
         amplification: float = 1.0,
+        space: MemorySpace = MemorySpace.GLOBAL,
     ) -> np.ndarray:
         """Bandwidth cycles of a streaming access, reuse-aware.
 
@@ -226,7 +236,8 @@ class MemoryModel:
         footprint's cache level.  This distinction is what makes a small
         per-unit footprint mean "cheap" only when the unit actually
         *reuses* it (sgemm tiles) and not when data is streamed once
-        (spmv's val/col arrays).
+        (spmv's val/col arrays).  This hierarchy serves every ``space``
+        alike; a device whose paths differ overrides this method.
         """
         useful = np.asarray(useful_bytes, dtype=float) * amplification
         footprint = (

@@ -26,7 +26,7 @@ information asymmetry DySel exploits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np

@@ -17,7 +17,6 @@ from repro.compiler.transforms.vectorize import auto_vectorize
 from repro.errors import TransformError
 from repro.kernel import (
     AccessPattern,
-    GATHER_STRIDE,
     KernelIR,
     KernelVariant,
     Loop,

@@ -8,7 +8,6 @@ from repro.errors import RegistrationError
 from repro.kernel import (
     AccessPattern,
     AtomicKind,
-    KernelIR,
     Loop,
     LoopBound,
     MemoryAccess,

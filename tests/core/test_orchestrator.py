@@ -8,7 +8,7 @@ from repro.core.productive import plan_profiling
 from repro.device.engine import ExecutionEngine
 from repro.errors import ProfilingError
 from repro.kernel.launch import LaunchConfig
-from repro.modes import OrchestrationFlow, ProfilingMode
+from repro.modes import ProfilingMode
 from tests.conftest import axpy_output_ok, axpy_signature, make_axpy_args
 
 UNITS = 512

@@ -2,12 +2,11 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core import DySelRuntime
 from repro.core.runtime import ProfilingDemotionWarning
-from repro.errors import LaunchError, ProfilingError
+from repro.errors import LaunchError
 from repro.modes import OrchestrationFlow, ProfilingMode
 from tests.conftest import (
     axpy_output_ok,

@@ -1,11 +1,9 @@
 """Unit tests for sandbox / private-output management."""
 
-import numpy as np
 import pytest
 
 from repro.core.sandbox import SandboxAllocator
 from repro.errors import SandboxError
-from repro.kernel.buffers import Buffer
 from repro.kernel.launch import LaunchConfig
 from tests.conftest import axpy_signature, make_axpy_args
 

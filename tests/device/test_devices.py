@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.device import make_cpu, make_gpu
 from repro.errors import DeviceError
 from repro.device.base import DeviceSpec
 from repro.kernel import AccessPattern, KernelIR, Loop, LoopBound, MemoryAccess

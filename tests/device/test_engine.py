@@ -1,13 +1,11 @@
 """Unit tests for the discrete-event execution engine."""
 
-import numpy as np
 import pytest
 
 from repro.device.engine import ExecutionEngine, Priority
 from repro.errors import EngineError
 from repro.kernel import AccessPattern, WorkRange
 from tests.conftest import (
-    AXPY_UNIT,
     axpy_output_ok,
     forced_engine_path,
     make_axpy_args,

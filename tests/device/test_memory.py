@@ -29,6 +29,28 @@ class TestConstruction:
         with pytest.raises(DeviceError, match="ordered"):
             MemoryModel(levels, CacheLevel("DRAM", float("inf"), 64, 200.0, 4.0))
 
+    def test_bandwidth_must_not_rise_going_outward(self):
+        # The static cost bound reads its best stream bandwidth from the
+        # first level and its worst from DRAM; a faster outer level
+        # would make both wrong.
+        levels = (
+            CacheLevel("L1", 1024, 64, 4.0, 32.0),
+            CacheLevel("L2", 64 * 1024, 64, 12.0, 48.0),
+        )
+        with pytest.raises(DeviceError, match="bandwidth must not rise"):
+            MemoryModel(levels, CacheLevel("DRAM", float("inf"), 64, 200.0, 4.0))
+        with pytest.raises(DeviceError, match="bandwidth must not rise"):
+            MemoryModel(
+                levels[:1], CacheLevel("DRAM", float("inf"), 64, 200.0, 64.0)
+            )
+
+    def test_equal_bandwidths_are_accepted(self):
+        levels = (
+            CacheLevel("L1", 1024, 64, 4.0, 16.0),
+            CacheLevel("L2", 64 * 1024, 64, 12.0, 16.0),
+        )
+        MemoryModel(levels, CacheLevel("DRAM", float("inf"), 64, 200.0, 16.0))
+
     def test_needs_a_level(self):
         with pytest.raises(DeviceError):
             MemoryModel((), CacheLevel("DRAM", float("inf"), 64, 200.0, 4.0))

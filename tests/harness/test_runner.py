@@ -9,7 +9,6 @@ from repro.harness.runner import (
     run_pure,
 )
 from repro.errors import HarnessError
-from repro.modes import OrchestrationFlow
 from repro.workloads.base import BenchmarkCase
 from tests.conftest import make_axpy_args, axpy_output_ok
 

@@ -6,13 +6,11 @@ import pytest
 from repro import (
     DySelContext,
     DySelRuntime,
-    OrchestrationFlow,
     ReproConfig,
     make_cpu,
     make_gpu,
 )
 from repro.kernel import AccessPattern
-from repro.kernel.buffers import Buffer
 from repro.workloads import spmv_csr
 from tests.conftest import (
     axpy_output_ok,

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.analyses.safe_point import lcm_of, safe_point_plan
+from repro.compiler.analyses.safe_point import safe_point_plan
 from repro.compiler.variants import VariantPool
 from repro.config import ReproConfig
 from repro.core.productive import plan_profiling

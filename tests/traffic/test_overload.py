@@ -7,8 +7,6 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
 from repro.config import ReproConfig
 from repro.device import make_cpu
 from repro.errors import AdmissionRejected

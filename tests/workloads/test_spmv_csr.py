@@ -1,6 +1,5 @@
 """Tests for the spmv-csr workload: correctness and paper-shape checks."""
 
-import numpy as np
 import pytest
 
 from repro.config import ReproConfig
