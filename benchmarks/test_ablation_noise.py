@@ -11,7 +11,6 @@ import dataclasses
 from repro.core import DySelRuntime
 from repro.compiler.variants import VariantPool
 from repro.device import make_cpu
-from repro.kernel import AccessPattern
 
 from conftest import record
 from tests.conftest import (

@@ -1,7 +1,6 @@
 """Benchmark: regenerate Figure 8 (LC scheduling on CPU, Case Study I)."""
 
 from repro.harness.experiments import fig8
-from repro.harness.report import geomean
 
 from conftest import record
 

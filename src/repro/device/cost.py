@@ -27,30 +27,54 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..kernel.buffers import Buffer, MemorySpace
+from ..kernel.buffers import (
+    SCALAR_TYPES,
+    Buffer,
+    MemorySpace,
+    frozen_array,
+    frozen_record,
+)
 from ..kernel.ir import AtomicKind, KernelIR, MemoryAccess, TripTable
 from ..kernel.kernel import KernelVariant, WorkRange
 from .base import Device
 from .memory import ELEM_BYTES, AccessCost, MemoryModel
 
 
-@lru_cache(maxsize=4096)
 def ir_hash(ir: KernelIR) -> str:
-    """Stable structural hash of an IR.
+    """Stable structural hash of an IR (derived once per IR object).
 
     Callables (data-dependent evaluators) are replaced by a fixed marker:
     static analyses never look through them, so two IRs differing only in
-    evaluator bodies hash identically — which is exactly why the cost-kernel
-    memo below refuses to cache IRs that carry any evaluator at all
-    (:func:`statically_priced`).  A constant ``footprint_hint`` is hashed
-    by value, so IRs differing only in footprint bytes never share an entry.
+    evaluator bodies hash identically.  The cost-kernel memo therefore
+    keys an IR that carries evaluators on the evaluator functions as well
+    (:meth:`CostModel.workgroup_cycles`).  A constant ``footprint_hint``
+    is hashed by value, so IRs differing only in footprint bytes never
+    share an entry.
     """
+    return _ir_facts(ir).hash
+
+
+def statically_priced(ir: KernelIR) -> bool:
+    """True when an IR's pricing cannot depend on runtime data.
+
+    An IR is statically priced when no loop bound, stride, or footprint is
+    evaluator-driven (a constant ``footprint_hint`` is fine): every
+    per-unit cost term is then a function of IR constants and buffer
+    shapes only, identical across units, so the cost-kernel memo keys it
+    on range length alone.  An IR with evaluators is memoized per frozen
+    input and range start instead (:meth:`CostModel.workgroup_cycles`).
+    """
+    return not _ir_facts(ir).evaluators
+
+
+def _structural_hash(ir: KernelIR) -> str:
+    """The digest behind :func:`ir_hash`."""
     parts = []
     for loop in ir.loops:
         bound = (
@@ -103,23 +127,57 @@ def ir_hash(ir: KernelIR) -> str:
     return digest.hexdigest()
 
 
-@lru_cache(maxsize=4096)
-def statically_priced(ir: KernelIR) -> bool:
-    """True when an IR's pricing cannot depend on runtime data.
+@dataclass(frozen=True)
+class _IRFacts:
+    """The IR-level half of a memo key."""
 
-    An IR is statically priced when no loop bound, stride, or footprint is
-    evaluator-driven (a constant ``footprint_hint`` is fine): every
-    per-unit cost term is then a function of IR constants and buffer
-    shapes only, identical across units — the precondition for the
-    cost-kernel memo (and the reason ``ir_hash``'s evaluator-blindness is
-    safe there).
+    hash: str
+    #: Every evaluator pricing reads, in IR order; empty exactly when the
+    #: IR is statically priced.
+    evaluators: Tuple[Callable, ...]
+    #: Buffers the IR writes.  Evaluators never read them, so their
+    #: contents stay out of a data-priced key.
+    written: FrozenSet[str]
+    #: Arguments whose size and space pricing reads: every accessed
+    #: buffer and working-set hint, once each.
+    sized: Tuple[str, ...]
+
+
+_FACTS_ATTR = "_cost_memo_facts"
+
+
+def _ir_facts(ir: KernelIR) -> _IRFacts:
+    """The IR's memo facts, derived on first use and kept on the IR.
+
+    ``KernelIR`` is frozen, so the facts never go stale.  Keeping them on
+    the object (the way ``functools.cached_property`` does) makes a warm
+    launch one attribute read instead of re-hashing the IR's nested
+    tuples for a cache lookup.
     """
-    if any(loop.bound.evaluator is not None for loop in ir.loops):
-        return False
-    return all(
-        access.stride_evaluator is None and not callable(access.footprint_hint)
-        for access in ir.accesses
-    )
+    facts = vars(ir).get(_FACTS_ATTR)
+    if facts is None:
+        evaluators = [
+            loop.bound.evaluator
+            for loop in ir.loops
+            if loop.bound.evaluator is not None
+        ]
+        sized = {}
+        for access in ir.accesses:
+            if access.stride_evaluator is not None:
+                evaluators.append(access.stride_evaluator)
+            if callable(access.footprint_hint):
+                evaluators.append(access.footprint_hint)
+            sized[access.buffer] = None
+            if access.working_set_hint:
+                sized[access.working_set_hint] = None
+        facts = _IRFacts(
+            hash=_structural_hash(ir),
+            evaluators=tuple(evaluators),
+            written=frozenset(ir.written_buffers),
+            sized=tuple(sized),
+        )
+        vars(ir)[_FACTS_ATTR] = facts
+    return facts
 
 
 # ----------------------------------------------------------------------
@@ -134,19 +192,79 @@ def statically_priced(ir: KernelIR) -> bool:
 # class — repeated serving launches, profiling slices of equal length,
 # eager chunks — and the cached array is returned as-is (read-only), so a
 # warm launch derives nothing.
+#
+# An IR with evaluators prices the data its range covers, so its key adds
+# the evaluator functions, the range start and the identity of every
+# argument the IR does not write.  Those inputs must be frozen (see
+# ``_frozen_inputs``); the entry holds them weakly and dies with the first
+# of them.  This is sound only under the evaluator contract stated at
+# ``repro.kernel.ir.Evaluator``: an evaluator is a pure function of its
+# unit ids and of the arguments the IR does not write.
 
 _MEMO_LOCK = threading.Lock()
-_COST_MEMO: Dict[Tuple, np.ndarray] = {}
+_COST_MEMO: Dict[Tuple, "_Entry"] = {}
 _MEMO_HITS = 0
 _MEMO_MISSES = 0
 #: Invalidation generation: a computation begun under an older generation
 #: must not repopulate the memo after an invalidation raced past it.
 _MEMO_GEN = 0
+#: Entry bound.  A served replay fills a few dozen entries; the bound
+#: matters when inputs keep changing, since each new input is a new key.
+MEMO_MAX_ENTRIES = 1024
+
+
+class _Entry:
+    """A cached cost array and weak references to the inputs behind it.
+
+    Weak references keep the memo from pinning input memory.  When any
+    input dies its callback clears ``alive``, and from then on the entry
+    serves no lookup, so an object that reuses a dead input's ``id`` can
+    never be served the dead input's price.  The callback only flips a
+    flag: garbage collection can run it while this thread holds
+    ``_MEMO_LOCK``, so it must not take the lock.  It closes over the
+    flag, not the entry, so a dropped entry is freed at once.
+    """
+
+    __slots__ = ("cycles", "alive", "refs")
+
+    def __init__(self, cycles: np.ndarray, inputs: Tuple[object, ...]) -> None:
+        alive = [True]
+
+        def mark_dead(_ref: weakref.ref) -> None:
+            alive[0] = False
+
+        self.cycles = cycles
+        self.alive = alive
+        self.refs = tuple(weakref.ref(obj, mark_dead) for obj in inputs)
+
+
+def _drop_dead() -> None:
+    """Drop entries whose inputs have died (caller holds ``_MEMO_LOCK``)."""
+    for key in [key for key, entry in _COST_MEMO.items() if not entry.alive[0]]:
+        del _COST_MEMO[key]
+
+
+def _store(key: Tuple, entry: _Entry) -> None:
+    """Insert a filled entry (caller holds ``_MEMO_LOCK``).
+
+    A live entry a racing thread stored first is kept; a dead one is
+    replaced.  At the bound, dead entries go first, then the oldest.
+    """
+    existing = _COST_MEMO.get(key)
+    if existing is not None and existing.alive[0]:
+        return
+    if existing is None and len(_COST_MEMO) >= MEMO_MAX_ENTRIES:
+        _drop_dead()
+        if len(_COST_MEMO) >= MEMO_MAX_ENTRIES:
+            del _COST_MEMO[next(iter(_COST_MEMO))]
+    _COST_MEMO[key] = entry
 
 
 def cost_memo_stats() -> Dict[str, int]:
-    """Current memo size and hit/miss counters (monotonic until cleared)."""
+    """Current memo size (live entries) and hit/miss counters (monotonic
+    until cleared)."""
     with _MEMO_LOCK:
+        _drop_dead()
         return {
             "entries": len(_COST_MEMO),
             "hits": _MEMO_HITS,
@@ -167,14 +285,15 @@ def clear_cost_memo() -> None:
 def invalidate_cost_memo(ir_hashes: Optional[Iterable[str]] = None) -> int:
     """Drop memo entries for the given IR hashes (all entries when None).
 
-    Returns the number of entries dropped.  Runs under the memo lock and
-    bumps the generation counter, so a cost evaluation already in flight
-    on another thread cannot re-insert a doomed entry after this returns
-    (the pool re-registration race).
+    Returns the number of live entries dropped.  Runs under the memo lock
+    and bumps the generation counter, so a cost evaluation already in
+    flight on another thread cannot re-insert a doomed entry after this
+    returns (the pool re-registration race).
     """
     global _MEMO_GEN
     with _MEMO_LOCK:
         _MEMO_GEN += 1
+        _drop_dead()
         if ir_hashes is None:
             dropped = len(_COST_MEMO)
             _COST_MEMO.clear()
@@ -184,6 +303,37 @@ def invalidate_cost_memo(ir_hashes: Optional[Iterable[str]] = None) -> int:
         for key in doomed:
             del _COST_MEMO[key]
         return len(doomed)
+
+
+def _frozen_inputs(
+    args: Mapping[str, object], written: FrozenSet[str]
+) -> Optional[Tuple[Tuple, Tuple[object, ...]]]:
+    """Identity of every argument an IR does not write, or None when one
+    is not frozen.
+
+    Returns ``(identity, inputs)``: ``identity`` goes into the memo key
+    and ``inputs`` are the objects the entry watches.  A :class:`Buffer`
+    stands for its backing array (requests rebuild the buffers around the
+    same arrays) and counts only when that array is frozen.  A scalar is
+    keyed by value; any other argument must be a frozen record.
+    """
+    identity = []
+    inputs = []
+    for name, value in args.items():
+        if name in written:
+            continue
+        if isinstance(value, Buffer):
+            value = value.data
+            if not frozen_array(value):
+                return None
+        elif isinstance(value, SCALAR_TYPES):
+            identity.append((name, type(value), value))
+            continue
+        elif not frozen_record(value):
+            return None
+        identity.append((name, id(value)))
+        inputs.append(value)
+    return tuple(identity), tuple(inputs)
 
 
 @dataclass(frozen=True)
@@ -313,30 +463,37 @@ class CostModel:
         point analysis guarantees this for profiling slices; whole-launch
         ranges start at zero and are trivially aligned).
 
-        Statically priced IRs (:func:`statically_priced`) are memoized per
-        (IR hash, device, packing factor, range length, buffer shapes):
-        repeated launches of the same workload class return the cached
-        (read-only) array without re-deriving anything.  The memo is a
-        pure cache — hits are bit-identical to the computation they skip.
+        Results are memoized per (IR hash, device, packing factor, range
+        length, buffer shapes and placements).  A statically priced IR
+        (:func:`statically_priced`) needs nothing more, so one entry
+        serves every launch of a workload class.  An IR with evaluators
+        also keys on its evaluator functions, the range start and the
+        identity of every argument it does not write; when one of those
+        inputs is not frozen the launch is priced uncached.  Hits return
+        the cached (read-only) array.  The memo is a pure cache: hits
+        are bit-identical to the computation they skip.
         """
         global _MEMO_HITS, _MEMO_MISSES
         if units.empty:
             return np.zeros(0)
-        key = self._memo_key(variant, args, units)
+        key, inputs = self._memo_key(variant, args, units)
         if key is not None:
             with _MEMO_LOCK:
-                cached = _COST_MEMO.get(key)
-                if cached is not None:
-                    _MEMO_HITS += 1
-                    return cached
+                entry = _COST_MEMO.get(key)
+                if entry is not None:
+                    if entry.alive[0]:
+                        _MEMO_HITS += 1
+                        return entry.cycles
+                    del _COST_MEMO[key]
                 generation = _MEMO_GEN
         result = self._workgroup_cycles_uncached(variant, args, units)
         if key is not None:
             result.setflags(write=False)
+            entry = _Entry(result, inputs)
             with _MEMO_LOCK:
                 _MEMO_MISSES += 1
                 if _MEMO_GEN == generation:
-                    _COST_MEMO.setdefault(key, result)
+                    _store(key, entry)
         return result
 
     def _memo_key(
@@ -344,39 +501,46 @@ class CostModel:
         variant: KernelVariant,
         args: Mapping[str, object],
         units: WorkRange,
-    ) -> Optional[Tuple]:
-        """Memo key for a launch, or None when it must not be cached.
+    ) -> Tuple[Optional[Tuple], Tuple[object, ...]]:
+        """Memo key for a launch and the inputs its entry watches, or
+        ``(None, ())`` when the launch must not be cached.
 
         Only wa-aligned ranges qualify: alignment makes the group
-        partition (and therefore the cost array) a function of the range
-        *length* alone, so profiling slices at different offsets share
-        one entry.  A misaligned range falls through to the uncached path
+        partition a function of the range *length* alone, so profiling
+        slices of a statically priced IR at different offsets share one
+        entry.  A misaligned range falls through to the uncached path
         (which rejects it the same way it always has).
+
+        The size and space of each buffer an access or working-set hint
+        names stand for the buffer: with the IR's placements (part of
+        its hash) they fix every ``placed_space`` and byte size pricing
+        reads.
         """
-        ir = variant.ir
-        if not statically_priced(ir):
-            return None
         if units.start % variant.wa_factor != 0:
-            return None
-        placements = dict(ir.placements)
-        fingerprint = []
-        for access in ir.accesses:
-            buffer = self._buffer_arg(args, access.buffer)
-            hint = self._buffer_arg(args, access.working_set_hint)
-            fingerprint.append(
-                (
-                    float(buffer.nbytes) if buffer is not None else None,
-                    placed_space(placements, access, buffer),
-                    float(hint.nbytes) if hint is not None else None,
-                )
+            return None, ()
+        facts = _ir_facts(variant.ir)
+        sizes = []
+        for name in facts.sized:
+            value = args.get(name)
+            sizes.append(
+                (value.data.nbytes, value.space)
+                if isinstance(value, Buffer)
+                else None
             )
-        return (
-            ir_hash(ir),
+        key = (
+            facts.hash,
             self._device_key,
             variant.wa_factor,
             len(units),
-            tuple(fingerprint),
+            tuple(sizes),
         )
+        if not facts.evaluators:
+            return key, ()
+        frozen = _frozen_inputs(args, facts.written)
+        if frozen is None:
+            return None, ()
+        identity, inputs = frozen
+        return key + (facts.evaluators, units.start, identity), inputs
 
     def _workgroup_cycles_uncached(
         self,

@@ -35,6 +35,16 @@ from ..errors import IRError
 
 #: Signature of a data-dependent evaluator: (args, unit_ids) -> value
 #: per work-group.  ``unit_ids`` is an int64 array of workload-unit ids; the result must be a float array of the same length.
+#:
+#: Contract: an evaluator is a pure function of ``unit_ids`` and of the
+#: arguments the IR does not write.  It must not read a buffer the IR
+#: writes (an in-place or read-modify-write kernel's data), nor state
+#: held in a closure, a global or anything else outside ``args`` that can
+#: change.  The cost model prices such an IR once per frozen input and
+#: range (:meth:`repro.device.cost.CostModel.workgroup_cycles`), keyed on
+#: the evaluator function and the identities of the unwritten arguments
+#: only, so an evaluator that breaks the contract is served a stale price
+#: without warning.
 Evaluator = Callable[[Mapping[str, object], np.ndarray], np.ndarray]
 
 
@@ -85,7 +95,9 @@ class LoopBound:
     ``evaluator`` gives the count per workload unit when it depends on runtime
     data (CSR row lengths, ...); static analyses cannot see through it —
     only that it exists — which makes uniform workload analysis
-    conservative, as the paper notes for uniform CSR matrices.
+    conservative, as the paper notes for uniform CSR matrices.  It must
+    keep the :data:`Evaluator` contract: read only ``unit_ids`` and the
+    arguments the IR does not write.
     """
 
     static_trips: Optional[int] = None
@@ -193,13 +205,17 @@ class MemoryAccess:
     #: unit.  Lets coalescing quality depend on the data (CSR row lengths:
     #: a 1-nnz-per-row matrix makes the "uncoalesced" scalar kernel
     #: perfectly coalesced).  When None, the static pattern governs.
+    #: Like every evaluator it reads only ``unit_ids`` and the arguments
+    #: the IR does not write (:data:`Evaluator`).
     stride_evaluator: Optional[Evaluator] = None
     #: Optional *per-unit* working-set footprint in bytes: a constant, or
     #: an evaluator (args, unit_ids) -> bytes touched by each unit.  When
     #: set, it overrides the buffer-size working set for cache-level
     #: selection and gather hit-rate estimation.  An evaluator is how input
     #: locality (e.g. the diagonal matrix's 1-nnz rows) reaches the cost
-    #: model; a constant keeps the access statically priced.
+    #: model; a constant keeps the access statically priced.  An evaluator
+    #: reads only ``unit_ids`` and the arguments the IR does not write
+    #: (:data:`Evaluator`).
     footprint_hint: Optional[Union[float, Evaluator]] = None
     #: Optional per-loop byte strides of the access's index expression:
     #: how far the address moves per step of each loop variable.  Used by

@@ -16,20 +16,36 @@ work-items can stream column slices.
 Block statistics (per-block nnz sums/maxima, column spans) are what the
 IR's data-dependent evaluators read; they are precomputed once per
 (matrix, block size) and cached on the matrix object.
+
+Matrices are frozen: the dataclasses cannot be rebound and their arrays
+are made read-only at construction, so a matrix bound to a launch is a
+fixed input whose price the cost model may reuse (see
+:func:`repro.kernel.buffers.frozen_record`).  The block-statistics cache
+fills in later but derives from the frozen arrays, so it is marked
+``DERIVED``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Tuple
 
 import numpy as np
 
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import WorkloadError
+from ..kernel.buffers import DERIVED
 
 
-@dataclass
+def _freeze_arrays(record: object) -> None:
+    """Clear the ``writeable`` flag of every array field of ``record``."""
+    for item in fields(record):
+        value = getattr(record, item.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
+@dataclass(frozen=True)
 class BlockStats:
     """Per-block row statistics driving data-dependent IR evaluators."""
 
@@ -44,8 +60,11 @@ class BlockStats:
     #: locality: tiny for banded matrices, ~the whole vector for random).
     x_span_bytes: np.ndarray
 
+    def __post_init__(self) -> None:
+        _freeze_arrays(self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class CsrMatrix:
     """Compressed-sparse-row matrix (float32 data, int32 indices)."""
 
@@ -54,7 +73,9 @@ class CsrMatrix:
     data: np.ndarray
     shape: Tuple[int, int]
     label: str = "csr"
-    _stats: Dict[int, BlockStats] = field(default_factory=dict, repr=False)
+    _stats: Dict[int, BlockStats] = field(
+        default_factory=dict, repr=False, metadata={DERIVED: True}
+    )
 
     def __post_init__(self) -> None:
         rows, _cols = self.shape
@@ -69,6 +90,7 @@ class CsrMatrix:
             raise WorkloadError(
                 f"matrix {self.label!r}: indices/data length mismatch"
             )
+        _freeze_arrays(self)
 
     @property
     def rows(self) -> int:
@@ -140,7 +162,7 @@ class CsrMatrix:
         return stats
 
 
-@dataclass
+@dataclass(frozen=True)
 class JdsMatrix:
     """Jagged-diagonal-storage matrix (Parboil's spmv-jds layout).
 
@@ -161,6 +183,9 @@ class JdsMatrix:
     #: Sorted row lengths (per jds row).
     row_nnz: np.ndarray
     label: str = "jds"
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self)
 
     @property
     def rows(self) -> int:

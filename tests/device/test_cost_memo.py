@@ -3,7 +3,8 @@
 The memo (:mod:`repro.device.cost`) turns repeated cost derivations for
 the same workload class into dictionary lookups.  These tests pin down
 the contract: hits are bit-identical to the computation they skip, only
-statically priced wa-aligned launches are cached, entries die when their
+wa-aligned launches are cached, a data-priced IR is cached only per
+frozen input and its entry dies with that input, entries die when their
 pool is re-registered or extended, and the generation counter keeps an
 in-flight computation from resurrecting a doomed entry (the
 re-register-mid-launch race).
@@ -12,8 +13,10 @@ re-register-mid-launch race).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.analyze.catalog import example_entries
 from repro.core.runtime import DySelRuntime
+from repro.device import cost as cost_mod
 from repro.device import make_cpu, make_gpu
 from repro.device.cost import (
     CostModel,
@@ -33,6 +37,7 @@ from repro.device.cost import (
 from repro.errors import IRError, KernelError
 from repro.kernel import (
     AccessPattern,
+    Buffer,
     KernelIR,
     KernelVariant,
     Loop,
@@ -40,10 +45,12 @@ from repro.kernel import (
     MemoryAccess,
     WorkRange,
 )
+from repro.kernel.buffers import DERIVED, frozen_array, frozen_record
 from repro.workloads import (
     cutcp,
     histogram,
     kmeans,
+    matrices,
     particle_filter,
     sgemm,
     spmv_csr,
@@ -63,15 +70,18 @@ from tests.conftest import (
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 
-def make_dynamic_variant(name: str, kind: str) -> KernelVariant:
-    """An axpy variant whose pricing depends on runtime data."""
+def make_dynamic_variant(
+    name: str, kind: str, scale: float = 1.0
+) -> KernelVariant:
+    """An axpy variant whose pricing is evaluator-driven; ``scale``
+    multiplies what its evaluator returns."""
     trips = 16
 
     def unit_trips(args, unit_ids):
-        return np.full(np.asarray(unit_ids).size, float(trips))
+        return np.full(np.asarray(unit_ids).size, scale * trips)
 
     def unit_stride(args, unit_ids):
-        return np.full(np.asarray(unit_ids).size, 64.0)
+        return np.full(np.asarray(unit_ids).size, scale * 64.0)
 
     bound = LoopBound(
         evaluator=unit_trips if kind == "loop" else None,
@@ -107,6 +117,97 @@ def make_dynamic_variant(name: str, kind: str) -> KernelVariant:
     return KernelVariant(
         name=name, ir=ir, executor=axpy_executor, work_group_size=AXPY_UNIT
     )
+
+
+def x_trips(args, unit_ids):
+    """Trips read from the input: each unit loops ``1 + 8·|x|`` times
+    over its first element, so a stale price shows as wrong cycles."""
+    x = args["x"].data
+    return 1.0 + 8.0 * np.abs(x[np.asarray(unit_ids) * AXPY_UNIT])
+
+
+def make_data_variant() -> KernelVariant:
+    """An axpy variant whose loop bound reads ``x``."""
+    variant = make_dynamic_variant("data", "loop")
+    loops = (Loop("k", LoopBound(evaluator=x_trips)),)
+    return dataclasses.replace(variant, ir=variant.ir.with_(loops=loops))
+
+
+DATA_VARIANT = make_data_variant()
+
+
+def frozen_x(units: int, seed: int) -> np.ndarray:
+    """A fresh frozen axpy input."""
+    rng = np.random.default_rng(seed)
+    return Buffer(
+        "x",
+        rng.standard_normal(units * AXPY_UNIT).astype(np.float32),
+        writable=False,
+    ).data
+
+
+def axpy_args_over(x: np.ndarray) -> dict:
+    """Axpy arguments binding ``x`` and a fresh output."""
+    return {
+        "x": Buffer("x", x, writable=False),
+        "y": Buffer("y", np.zeros(x.size, dtype=np.float32)),
+    }
+
+
+@dataclasses.dataclass
+class MutableTable:
+    """A non-frozen record an evaluator could read."""
+
+    table: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenTable:
+    """A frozen record; keyable only while what it holds is frozen."""
+
+    table: object
+
+
+@dataclasses.dataclass(frozen=True)
+class TableWithCache:
+    """A frozen record with a derived cache, like ``CsrMatrix._stats``."""
+
+    table: np.ndarray
+    cache: dict = dataclasses.field(default_factory=dict)
+
+
+@dataclasses.dataclass(frozen=True)
+class TableWithDerivedCache:
+    """The same record with its cache marked derived."""
+
+    table: np.ndarray
+    cache: dict = dataclasses.field(
+        default_factory=dict, metadata={DERIVED: True}
+    )
+
+
+def unfrozen_args(case: str, config) -> dict:
+    """Axpy arguments with one input the memo must not key on."""
+    args = make_axpy_args(32, config)
+    x = args["x"].data
+    if case == "writable-input":
+        args["x"] = Buffer("x", x.copy())
+    elif case == "read-only-view":
+        base = x.copy()
+        view = base[:]
+        view.setflags(write=False)
+        args["x"] = Buffer("x", view, writable=False)
+    elif case == "mutable-record":
+        args["table"] = MutableTable(Buffer("t", x.copy(), writable=False).data)
+    elif case == "record-with-writable-array":
+        args["table"] = FrozenTable(x.copy())
+    elif case == "record-holding-a-buffer":
+        args["table"] = FrozenTable(Buffer("t", x.copy()))
+    elif case == "record-holding-a-list":
+        args["table"] = FrozenTable([Buffer("t", x.copy(), writable=False).data])
+    else:
+        raise AssertionError(case)
+    return args
 
 
 class TestMemoBasics:
@@ -186,27 +287,268 @@ class TestMemoBasics:
 
 class TestStaticallyPriced:
     @pytest.mark.parametrize("kind", ["loop", "stride", "footprint"])
-    def test_data_dependent_irs_are_never_cached(self, kind, quiet_config):
+    def test_data_dependent_irs_are_cached(self, kind, quiet_config):
+        """With frozen inputs, an IR with evaluators is cached too."""
         variant = make_dynamic_variant("dyn", kind)
         assert not statically_priced(variant.ir)
         model = CostModel(make_cpu(quiet_config))
         args = make_axpy_args(32, quiet_config)
+        cold = model.workgroup_cycles(variant, args, WorkRange(0, 32))
+        warm = model.workgroup_cycles(variant, args, WorkRange(0, 32))
+        assert cost_memo_stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert warm is cold
+        uncached = model._workgroup_cycles_uncached(
+            variant, args, WorkRange(0, 32)
+        )
+        assert (warm == uncached).all()
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "writable-input",
+            "read-only-view",
+            "mutable-record",
+            "record-with-writable-array",
+            "record-holding-a-buffer",
+            "record-holding-a-list",
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["loop", "stride", "footprint"])
+    def test_unfrozen_inputs_are_never_cached(self, kind, case, quiet_config):
+        variant = make_dynamic_variant("dyn", kind)
+        model = CostModel(make_cpu(quiet_config))
+        args = unfrozen_args(case, quiet_config)
         first = model.workgroup_cycles(variant, args, WorkRange(0, 32))
         second = model.workgroup_cycles(variant, args, WorkRange(0, 32))
         assert cost_memo_stats() == {"entries": 0, "hits": 0, "misses": 0}
         assert first.flags.writeable and second.flags.writeable
-        assert np.array_equal(first, second)
+        assert (first == second).all()
+
+    def test_unfrozen_inputs_do_not_stop_static_hits(self, quiet_config):
+        """Static IRs keep their length-only key whatever the inputs."""
+        variant = make_axpy_variant("v")
+        model = CostModel(make_cpu(quiet_config))
+        args = unfrozen_args("writable-input", quiet_config)
+        model.workgroup_cycles(variant, args, WorkRange(0, 32))
+        model.workgroup_cycles(variant, args, WorkRange(0, 32))
+        assert cost_memo_stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_static_axpy_is_statically_priced(self):
         assert statically_priced(make_axpy_variant("v").ir)
 
-    def test_evaluator_blind_hash_is_why_dynamic_is_excluded(self):
-        """Two IRs differing only in evaluator bodies hash identically —
-        the documented reason they must never share a memo entry."""
-        first = make_dynamic_variant("a", "stride")
-        second = make_dynamic_variant("b", "stride")
+    def test_evaluator_blind_hash_gets_separate_entries(self, quiet_config):
+        """Two IRs differing only in evaluator bodies hash identically, so
+        the key carries the evaluators too: each IR gets its own entry and
+        its own price."""
+        first = make_dynamic_variant("a", "loop")
+        second = make_dynamic_variant("b", "loop", scale=2.0)
         assert first.ir is not second.ir
         assert ir_hash(first.ir) == ir_hash(second.ir)
+        model = CostModel(make_cpu(quiet_config))
+        args = make_axpy_args(32, quiet_config)
+        units = WorkRange(0, 32)
+        prices = [model.workgroup_cycles(v, args, units) for v in (first, second)]
+        assert cost_memo_stats() == {"entries": 2, "hits": 0, "misses": 2}
+        assert not np.array_equal(*prices)
+        for variant, price in zip((first, second), prices):
+            assert model.workgroup_cycles(variant, args, units) is price
+            uncached = model._workgroup_cycles_uncached(variant, args, units)
+            assert (price == uncached).all()
+
+
+class TestFrozenInputs:
+    def test_read_only_buffer_freezes_the_callers_array(self):
+        data = np.arange(8, dtype=np.float32)
+        Buffer("b", data, writable=False)
+        assert frozen_array(data)
+        with pytest.raises(ValueError):
+            data[0] = 1.0
+
+    def test_writable_buffer_leaves_the_array_writable(self):
+        data = np.arange(8, dtype=np.float32)
+        Buffer("b", data)
+        data[0] = 1.0
+        assert not frozen_array(data)
+
+    def test_read_only_view_of_a_writable_base_is_not_frozen(self):
+        base = np.arange(8, dtype=np.float32)
+        view = Buffer("b", base[2:], writable=False).data
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+        assert not frozen_array(view)
+        base.setflags(write=False)
+        assert frozen_array(view)
+
+    @pytest.mark.parametrize("fmt", ["csr", "jds"])
+    def test_matrix_arrays_raise_on_write(self, fmt, config):
+        csr = matrices.random_csr(64, 64, 0.05, config)
+        matrix = csr if fmt == "csr" else matrices.csr_to_jds(csr)
+        arrays = [
+            getattr(matrix, item.name)
+            for item in dataclasses.fields(matrix)
+            if isinstance(getattr(matrix, item.name), np.ndarray)
+        ]
+        assert len(arrays) >= 3
+        for array in arrays:
+            assert frozen_array(array)
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            matrix.data = matrix.data.copy()
+
+    def test_records_hold_only_frozen_values(self):
+        frozen = Buffer("t", np.arange(4.0), writable=False).data
+        assert frozen_record(FrozenTable(frozen))
+        assert frozen_record(FrozenTable((frozen, 3, "label", None)))
+        assert not frozen_record(FrozenTable((frozen, [1])))
+        assert not frozen_record(FrozenTable(FrozenTable(frozen)))
+        assert not frozen_record(FrozenTable(Buffer("t", frozen, writable=False)))
+        assert not frozen_record(MutableTable(frozen))
+
+    def test_only_a_derived_cache_is_exempt(self, config):
+        frozen = Buffer("t", np.arange(4.0), writable=False).data
+        assert not frozen_record(TableWithCache(frozen))
+        assert frozen_record(TableWithDerivedCache(frozen))
+        matrix = matrices.random_csr(64, 64, 0.05, config)
+        matrix.block_stats(4)
+        assert matrix._stats and frozen_record(matrix)
+        assert frozen_record(matrices.csr_to_jds(matrix))
+
+    def test_block_stats_are_frozen(self, config):
+        stats = matrices.random_csr(64, 64, 0.05, config).block_stats(4)
+        with pytest.raises(ValueError):
+            stats.nnz_sum[0] = 0.0
+
+    def test_new_input_with_equal_contents_misses(self, quiet_config):
+        model = CostModel(make_cpu(quiet_config))
+        x = frozen_x(4, seed=1)
+        twin = frozen_x(4, seed=1)
+        assert np.array_equal(x, twin) and x is not twin
+        for array in (x, twin):
+            model.workgroup_cycles(
+                DATA_VARIANT, axpy_args_over(array), WorkRange(0, 4)
+            )
+        assert cost_memo_stats() == {"entries": 2, "hits": 0, "misses": 2}
+
+    def test_rebuilt_buffers_over_the_same_array_hit(self, quiet_config):
+        """Requests rebuild their Buffer objects around the same arrays."""
+        model = CostModel(make_cpu(quiet_config))
+        x = frozen_x(4, seed=1)
+        for _ in range(3):
+            model.workgroup_cycles(
+                DATA_VARIANT, axpy_args_over(x), WorkRange(0, 4)
+            )
+        assert cost_memo_stats() == {"entries": 1, "hits": 2, "misses": 1}
+
+    def test_scalar_arguments_key_by_value(self, quiet_config):
+        model = CostModel(make_cpu(quiet_config))
+        x = frozen_x(4, seed=1)
+        for scale in (2, 2, 3):
+            args = dict(axpy_args_over(x), scale=scale)
+            model.workgroup_cycles(DATA_VARIANT, args, WorkRange(0, 4))
+        assert cost_memo_stats() == {"entries": 2, "hits": 1, "misses": 2}
+
+
+class TestInputLifetime:
+    def test_dead_input_entry_serves_no_lookup(self, quiet_config):
+        model = CostModel(make_cpu(quiet_config))
+        units = WorkRange(0, 4)
+        x = frozen_x(4, seed=1)
+        model.workgroup_cycles(DATA_VARIANT, axpy_args_over(x), units)
+        assert cost_memo_stats()["entries"] == 1
+        watch = weakref.ref(x)
+        dead_id = id(x)
+        del x
+        gc.collect()
+        assert watch() is None
+        assert cost_memo_stats()["entries"] == 0
+        # A new input may land at the dead one's address; either way it
+        # must be priced afresh, from its own contents.
+        for seed_ in range(8):
+            fresh = frozen_x(4, seed=100 + seed_)
+            args = axpy_args_over(fresh)
+            before = cost_memo_stats()
+            price = model.workgroup_cycles(DATA_VARIANT, args, units)
+            assert cost_memo_stats()["hits"] == before["hits"]
+            uncached = model._workgroup_cycles_uncached(
+                DATA_VARIANT, args, units
+            )
+            assert (price == uncached).all()
+            if id(fresh) == dead_id:
+                break
+
+    def test_memo_holds_no_input_alive(self, quiet_config):
+        model = CostModel(make_cpu(quiet_config))
+        matrix = matrices.random_csr(64, 64, 0.05, quiet_config)
+        case_args = spmv_csr.make_args_factory(matrix, quiet_config)()
+        variant = spmv_csr.scalar_variant("cpu")
+        model.workgroup_cycles(variant, case_args, WorkRange(0, 16))
+        watch = weakref.ref(matrix)
+        del matrix, case_args
+        gc.collect()
+        assert watch() is None
+        assert cost_memo_stats()["entries"] == 0
+
+    def test_entry_bound_holds_when_inputs_keep_changing(self, quiet_config):
+        bound = cost_mod.MEMO_MAX_ENTRIES
+        model = CostModel(make_cpu(quiet_config))
+        alive = []
+        for index in range(bound + 40):
+            x = frozen_x(1, seed=index)
+            alive.append(x)
+            model.workgroup_cycles(
+                DATA_VARIANT, axpy_args_over(x), WorkRange(0, 1)
+            )
+            assert len(cost_mod._COST_MEMO) <= bound
+        assert cost_memo_stats() == {
+            "entries": bound,
+            "hits": 0,
+            "misses": bound + 40,
+        }
+        # The oldest entries went first: the newest input still hits.
+        model.workgroup_cycles(
+            DATA_VARIANT, axpy_args_over(alive[-1]), WorkRange(0, 1)
+        )
+        assert cost_memo_stats()["hits"] == 1
+
+    def test_prices_stay_exact_while_inputs_churn(self, quiet_config):
+        """One thread launches while another replaces the input and
+        collects garbage, so dead inputs' ids get reused under it."""
+        model = CostModel(make_cpu(quiet_config))
+        units = WorkRange(0, 4)
+        current = [axpy_args_over(frozen_x(4, seed=CHAOS_SEED))]
+        stop = threading.Event()
+        mismatches = []
+
+        def churn():
+            round_ = 0
+            while not stop.is_set():
+                round_ += 1
+                current[0] = axpy_args_over(frozen_x(4, seed=CHAOS_SEED + round_))
+                if round_ % 4 == 0:
+                    gc.collect()
+
+        def launch():
+            for _ in range(300):
+                args = current[0]
+                price = model.workgroup_cycles(DATA_VARIANT, args, units)
+                uncached = model._workgroup_cycles_uncached(
+                    DATA_VARIANT, args, units
+                )
+                if not (price == uncached).all():
+                    mismatches.append((price, uncached))
+
+        churner = threading.Thread(target=churn)
+        churner.start()
+        try:
+            launch()
+        finally:
+            stop.set()
+            churner.join(timeout=10.0)
+        assert not churner.is_alive()
+        assert mismatches == []
+        stats = cost_memo_stats()
+        assert stats["hits"] + stats["misses"] == 300
 
 
 def with_x_footprint(variant: KernelVariant, footprint) -> KernelVariant:
@@ -316,19 +658,31 @@ class TestCatalogPricing:
         assert [v.name for v in variants if statically_priced(v.ir)] == []
 
 
-@pytest.fixture(scope="module")
-def static_catalog():
-    """(label, variant, args, units) for every statically priced variant
-    of the example catalog, with one argument mapping per case."""
+def _catalog(static: bool):
+    """(label, variant, args, units) for every example-catalog variant
+    that is (or is not) statically priced, with one argument mapping per
+    case."""
     found = []
     for label, entry in example_entries():
         args = entry.case.fresh_args()
         for variant in entry.case.pool.variants:
-            if statically_priced(variant.ir):
+            if statically_priced(variant.ir) == static:
                 found.append(
                     (label, variant, args, entry.case.workload_units)
                 )
     return found
+
+
+@pytest.fixture(scope="module")
+def static_catalog():
+    """Every statically priced catalog variant (see :func:`_catalog`)."""
+    return _catalog(static=True)
+
+
+@pytest.fixture(scope="module")
+def data_catalog():
+    """Every data-priced catalog variant (see :func:`_catalog`)."""
+    return _catalog(static=False)
 
 
 class TestMemoPositionIndependence:
@@ -367,6 +721,64 @@ class TestMemoPositionIndependence:
         uncached = model._workgroup_cycles_uncached(variant, args, here)
         assert hit.shape == uncached.shape
         assert (hit == uncached).all(), (label, variant.name)
+
+    def test_catalog_covers_the_data_priced_workloads(self, data_catalog):
+        labels = {label.split("/")[0] for label, *_ in data_catalog}
+        assert {"spmv-csr", "spmv-jds", "particle-filter", "histogram"} <= labels
+        assert any(variant.wa_factor > 1 for _, variant, *_ in data_catalog)
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_data_priced_hit_at_any_aligned_range_equals_uncached(
+        self, data_catalog, data
+    ):
+        """A data-priced entry keys on the range start as well: a hit at
+        a wa-aligned (start, length) is exactly a fresh derivation on the
+        same input, and the same length at another start is a separate
+        entry."""
+        label, variant, args, units = data.draw(
+            st.sampled_from(data_catalog), label="variant"
+        )
+        make_device = data.draw(st.sampled_from([make_cpu, make_gpu]))
+        model = CostModel(make_device())
+        wa = variant.wa_factor
+        starts = st.integers(0, (units - 1) // wa).map(lambda g: g * wa)
+        start, other = data.draw(starts), data.draw(starts)
+        length = data.draw(st.integers(1, units - max(start, other)))
+        here = WorkRange(start, start + length)
+        clear_cost_memo()
+        model.workgroup_cycles(variant, args, here)
+        hit = model.workgroup_cycles(variant, args, here)
+        assert cost_memo_stats() == {"entries": 1, "hits": 1, "misses": 1}
+        uncached = model._workgroup_cycles_uncached(variant, args, here)
+        assert hit.shape == uncached.shape
+        assert (hit == uncached).all(), (label, variant.name)
+        if other != start:
+            model.workgroup_cycles(variant, args, WorkRange(other, other + length))
+            assert cost_memo_stats() == {"entries": 2, "hits": 1, "misses": 2}
+
+
+class TestOutputsStayOutOfTheKey:
+    @pytest.mark.parametrize("make_device", [make_cpu, make_gpu])
+    def test_evaluators_never_read_outputs(self, data_catalog, make_device):
+        """Scrambling every buffer a data-priced IR writes leaves its
+        price unchanged, which is why written buffers' contents stay out
+        of the key."""
+        model = CostModel(make_device())
+        rng = np.random.default_rng(CHAOS_SEED)
+        for label, variant, args, units in data_catalog:
+            whole = WorkRange(0, units)
+            price = model._workgroup_cycles_uncached(variant, args, whole)
+            scrambled = dict(args)
+            for name in variant.ir.written_buffers:
+                out = args[name]
+                noise = rng.integers(-1000, 1000, size=out.shape)
+                scrambled[name] = Buffer(
+                    name, noise.astype(out.dtype), space=out.space
+                )
+            again = model._workgroup_cycles_uncached(variant, scrambled, whole)
+            assert (price == again).all(), (label, variant.name)
 
 
 class TestInvalidation:

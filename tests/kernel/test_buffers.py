@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BufferError_
-from repro.kernel.buffers import Buffer, MemorySpace
+from repro.kernel.buffers import Buffer, MemorySpace, frozen_array
 
 
 class TestConstruction:
@@ -42,6 +42,21 @@ class TestPlacement:
         copy = buf.replaced()
         assert copy.space is buf.space
         assert copy.writable == buf.writable
+
+    def test_read_only_alias_leaves_the_source_writable(self):
+        data = np.zeros(4, dtype=np.float32)
+        buf = Buffer("b", data)
+        alias = buf.replaced(space=MemorySpace.TEXTURE, writable=False)
+        assert not alias.writable and buf.writable
+        buf.data[0] = 1.0
+        assert alias.data[0] == 1.0
+        assert not frozen_array(alias.data)
+
+    def test_writable_alias_of_a_frozen_buffer_is_refused(self):
+        buf = Buffer("b", np.zeros(4), writable=False)
+        assert buf.replaced(space=MemorySpace.TEXTURE).data is buf.data
+        with pytest.raises(BufferError_):
+            buf.replaced(writable=True)
 
 
 class TestSandbox:

@@ -7,13 +7,13 @@ import pytest
 
 from repro.config import ReproConfig
 from repro.device import make_cpu
-from repro.device.cost import cost_memo_stats
+from repro.device.cost import cost_memo_stats, statically_priced
 from repro.device.engine import ExecutionEngine
 from repro.errors import ServeError
 from repro.obs.export import reconcile
 from repro.obs.events import EventKind
 from repro.serve import LaunchScheduler, SelectionStore, ServeRequest
-from repro.workloads import kmeans
+from repro.workloads import histogram, kmeans, spmv_csr
 from repro.workloads.base import BenchmarkCase
 from repro.harness import run_served
 from tests.conftest import axpy_output_ok, make_axpy_args
@@ -174,33 +174,61 @@ class TestWarmLaunchDrain:
         assert submitted[0].finished
 
 
+def warm_launch_memo_delta(case, config):
+    """Serve three same-class requests of ``case`` on one device; return
+    the first outcome, the third, and the third's (memo hits, memo
+    misses)."""
+    scheduler = LaunchScheduler(make_fleet(config, 1))
+    scheduler.register_pool(case.pool)
+
+    def launch():
+        request = ServeRequest(
+            kernel=case.pool.name,
+            args=case.fresh_args(),
+            workload_units=case.workload_units,
+        )
+        outcome = scheduler.launch(request)
+        assert case.validate(request.args)
+        return outcome
+
+    first = launch()  # profiles (or picks) and publishes
+    launch()  # first whole-launch pricing of the winner
+    before = cost_memo_stats()
+    outcome = launch()
+    after = cost_memo_stats()
+    return first, outcome, (
+        after["hits"] - before["hits"],
+        after["misses"] - before["misses"],
+    )
+
+
 class TestWarmLaunchMemo:
     def test_warm_kmeans_launch_is_priced_from_the_memo(self, config):
         """kmeans's footprints are constants, so its variants are
         statically priced: once a whole-launch range has been priced, a
         warm store-hit launch of the same class derives nothing."""
         case = kmeans.schedule_case(256 * kmeans.POINTS_PER_UNIT, config)
-        scheduler = LaunchScheduler(make_fleet(config, 1))
-        scheduler.register_pool(case.pool)
-
-        def launch():
-            request = ServeRequest(
-                kernel=case.pool.name,
-                args=case.fresh_args(),
-                workload_units=case.workload_units,
-            )
-            outcome = scheduler.launch(request)
-            assert case.validate(request.args)
-            return outcome
-
-        assert launch().profiled  # profiles slices, publishes
-        launch()  # first whole-launch pricing of the winner
-        before = cost_memo_stats()
-        outcome = launch()
-        after = cost_memo_stats()
+        first, outcome, (hits, misses) = warm_launch_memo_delta(case, config)
+        assert first.profiled  # profiles slices, publishes
         assert outcome.store_hit and not outcome.profiled
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
+        assert (hits, misses) == (1, 0)
+
+    @pytest.mark.parametrize("workload", ["spmv-csr", "histogram"])
+    def test_warm_data_priced_launch_is_priced_from_the_memo(
+        self, workload, config
+    ):
+        """spmv-csr and histogram-atomic price the input they read.  Every
+        request binds the same frozen input, so a warm store-hit launch
+        is one memo hit as well."""
+        if workload == "spmv-csr":
+            case = spmv_csr.input_dependent_case("cpu", "random", 1024, config)
+        else:
+            case = histogram.swap_case("uniform", 1 << 14, config)
+        _first, outcome, (hits, misses) = warm_launch_memo_delta(case, config)
+        assert outcome.store_hit and not outcome.profiled
+        served = case.pool.variant(outcome.result.selected)
+        assert not statically_priced(served.ir)
+        assert (hits, misses) == (1, 0)
 
 
 class TestInvalidation:
