@@ -15,6 +15,9 @@ between:
   (the ¹–» steps of Fig 4b).  On the GPU the query latency exceeds the
   micro-profile time, so few or zero eager chunks dispatch and async
   degenerates to sync — the §5.1 observation, reproduced mechanically.
+  Poll passes that change nothing are charged in one engine step
+  (:meth:`~repro.device.engine.ExecutionEngine.poll_quiet_passes`), so
+  the loop runs once per state change rather than once per poll.
 
 Both flows are *hardened* against variant faults (:mod:`repro.faults`):
 when the engine carries a fault injector, every submission runs behind
@@ -276,21 +279,45 @@ def _run_batch_with_fallback(
     )
 
 
-def _measurement(
-    plan: ProfilingPlan, name: str, handle: TaskHandle
-) -> VariantMeasurement:
-    """Build a measurement from one finished profiling task."""
+def _observe(
+    engine: ExecutionEngine,
+    plan: ProfilingPlan,
+    record: SelectionRecord,
+    name: str,
+    handle: TaskHandle,
+) -> None:
+    """Fold one finished profiling task into the selection (and trace)."""
+    engine.host_compute(SELECTION_COMPARE_CYCLES)
     if handle.measured is None:
         raise ProfilingError(
             f"profiling task for {name!r} finished without a measurement"
         )
     task = plan.task_for(name)
-    return VariantMeasurement(
-        variant=name,
-        measured_cycles=handle.measured.measured_cycles,
-        profiled_units=len(task.units),
-        productive=task.productive,
+    measured = handle.measured.measured_cycles
+    record.observe(
+        VariantMeasurement(
+            variant=name,
+            measured_cycles=measured,
+            profiled_units=len(task.units),
+            productive=task.productive,
+        )
     )
+    tracer = engine.tracer
+    if tracer.enabled:
+        tracer.task_span(
+            EventKind.PROFILE_SPAN,
+            name,
+            handle,
+            productive=task.productive,
+            measured_cycles=measured,
+        )
+        tracer.instant(
+            EventKind.SELECTION_UPDATE,
+            name,
+            engine.now,
+            selected=record.selected,
+            measured_cycles=measured,
+        )
 
 
 def run_sync(
@@ -351,24 +378,7 @@ def run_sync(
                 faults=tuple(faults),
             )
     for name, handle in handles.items():
-        engine.host_compute(SELECTION_COMPARE_CYCLES)
-        measurement = _measurement(plan, name, handle)
-        record.observe(measurement)
-        if tracer.enabled:
-            tracer.task_span(
-                EventKind.PROFILE_SPAN,
-                name,
-                handle,
-                productive=measurement.productive,
-                measured_cycles=measurement.measured_cycles,
-            )
-            tracer.instant(
-                EventKind.SELECTION_UPDATE,
-                name,
-                engine.now,
-                selected=record.selected,
-                measured_cycles=measurement.measured_cycles,
-            )
+        _observe(engine, plan, record, name, handle)
     assert record.selected is not None
     plan.finalize(record.selected, launch)
     profiling_done = engine.now
@@ -493,6 +503,13 @@ def run_async(
     outstanding: List[TaskHandle] = []
     pending: List[str] = [name for name in handles]
     while pending:
+        if remaining.empty or len(outstanding) >= MAX_OUTSTANDING_EAGER_CHUNKS:
+            # Otherwise this pass submits a chunk, so it is not quiet.
+            engine.poll_quiet_passes(
+                [handles[name] for name in pending],
+                () if remaining.empty else outstanding,
+                deadline,
+            )
         if engine.now > deadline:
             # Whatever is still pending is hung (or starved behind a
             # hang): cancel it, queue productive slices for repair, and
@@ -520,26 +537,9 @@ def run_async(
                 finished_now.append(name)
         for name in finished_now:
             pending.remove(name)
-            engine.host_compute(SELECTION_COMPARE_CYCLES)
-            measurement = _measurement(plan, name, handles[name])
-            record.observe(measurement)
+            _observe(engine, plan, record, name, handles[name])
             assert record.selected is not None
             current_best = record.selected
-            if tracer.enabled:
-                tracer.task_span(
-                    EventKind.PROFILE_SPAN,
-                    name,
-                    handles[name],
-                    productive=measurement.productive,
-                    measured_cycles=measurement.measured_cycles,
-                )
-                tracer.instant(
-                    EventKind.SELECTION_UPDATE,
-                    name,
-                    engine.now,
-                    selected=record.selected,
-                    measured_cycles=measurement.measured_cycles,
-                )
         # Eager dispatch is paced: keep a small number of chunks in
         # flight so the workload can switch to a better variant as soon
         # as profiling finds one (paper §2.4's "careful workload

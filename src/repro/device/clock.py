@@ -107,7 +107,7 @@ class NoisyClock:
         (interval far above the quantum) draw nothing, the rest draw one
         phase each, and a numpy ``Generator`` produces the same stream
         whether the uniforms are drawn one at a time or as a batch.  The
-        engine's vectorized drain uses this so measurement noise cannot
+        engine's analytic drain uses this so measurement noise cannot
         tell the paths apart.
         """
         values = np.asarray(true_cycles, dtype=float)

@@ -31,7 +31,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Mapping, Optional, Tuple
+from typing import Deque, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,13 +49,6 @@ from .cost import CostModel
 #: device-side setup before the first work-group starts.
 HOST_LAUNCH_FRACTION = 0.25
 
-#: When True, the analytic drain additionally collapses equal-duration
-#: batches (noise off, statically priced kernels) into a numpy
-#: closed-form round-robin schedule instead of a per-group heap loop.
-#: The closed form is only taken when it is provably bit-identical to the
-#: heap loop; tests monkeypatch this flag to force each path.
-VECTORIZED_BATCH = True
-
 #: Shared empty duration array for finalized/cancelled tasks.
 _NO_DURATIONS = np.zeros(0)
 
@@ -64,9 +57,7 @@ class _Batch:
     """Queued work-groups of one task: a duration array and a cursor.
 
     The event loop consumes groups by advancing ``index``; the analytic
-    drain consumes the remaining suffix at once.  Keeping the array whole
-    (instead of a deque of floats) is what makes the vectorized schedule
-    possible without changing delivery order.
+    drain consumes the remaining suffix at once.
     """
 
     __slots__ = ("task", "durations", "index")
@@ -170,9 +161,9 @@ class ExecutionEngine:
         self._seq = itertools.count()
         self._busy_cycles = 0.0
         self._launch_count = 0
-        #: Task the current ``_advance_to`` must stop after (plumbed to
-        #: the analytic drain, whose signature tests subclass).
-        self._stop_task: Optional[TaskHandle] = None
+        #: Tasks whose finish stops the current ``_advance_to`` (plumbed
+        #: to the analytic drain, whose signature tests subclass).
+        self._stop: Tuple[TaskHandle, ...] = ()
         #: Optional fault injector (:mod:`repro.faults`); when installed,
         #: it owns functional execution and may sabotage submissions.
         self.injector = None
@@ -292,15 +283,92 @@ class ExecutionEngine:
         self._advance_to(self._now)
         done = task.finished and task.last_end <= self._now
         if self.tracer.enabled:
-            self.tracer.instant(
-                EventKind.HOST_POLL,
-                task.variant.name,
-                self._now,
-                task_id=task.task_id,
-                finished=done,
-                latency_cycles=self.device.spec.host_query_latency,
-            )
+            self._trace_poll(task, self._now, done)
         return done
+
+    def _trace_poll(self, task: TaskHandle, at: float, done: bool) -> None:
+        """Emit one ``HOST_POLL`` instant."""
+        self.tracer.instant(
+            EventKind.HOST_POLL,
+            task.variant.name,
+            at,
+            task_id=task.task_id,
+            finished=done,
+            latency_cycles=self.device.spec.host_query_latency,
+        )
+
+    def poll_quiet_passes(
+        self,
+        pending: Sequence[TaskHandle],
+        eager: Sequence[TaskHandle] = (),
+        deadline: float = float("inf"),
+    ) -> int:
+        """Cover the leading quiet passes of an async poll loop in one step.
+
+        The async flow polls each ``pending`` task once per pass.  A pass
+        is *quiet* when no poll sees its task done (``last_end`` at or
+        before the poll) and no ``eager`` task is done at the pass's end;
+        a pass that starts past ``deadline`` is not.  Returns the passes
+        covered.  ``now`` lands on the first non-quiet pass's start, the
+        per-poll fold ``now + L + L + …`` (``np.add.accumulate``); the
+        dispatcher stops by that pass's end (its start for the deadline
+        pass), so polling it poll by poll stays bit-identical.
+        """
+        count = len(pending)
+        latency = self.device.spec.host_query_latency
+        inf = float("inf")
+        if not count or latency <= 0 or self._now > deadline:
+            return 0
+        instants = np.array([self._now])  # the host clock after n polls
+
+        def instant(n: int) -> float:
+            nonlocal instants
+            if n >= len(instants):
+                size = len(instants)
+                steps = np.full(max(n + 1, 2 * size) - size + 1, latency)
+                steps[0] = instants[-1]
+                tail = np.add.accumulate(steps)[1:]
+                instants = np.concatenate((instants, tail))
+            return float(instants[n])
+
+        def first_pass(at: float, offset: int, side: str = "left") -> int:
+            """Pass of the first poll at ``offset`` (1..count) at or
+            (``side="right"``) after ``at``."""
+            n = int(instants.searchsorted(at, side))
+            while n == len(instants):
+                instant(n + count + int((at - instants[-1]) / latency))
+                n = int(instants.searchsorted(at, side))
+            n = max(n, 1)
+            return (n + (offset - n) % count - 1) // count
+
+        watching = [(task, n + 1) for n, task in enumerate(pending)]
+        watching += [(task, count) for task in eager]
+        flip = stop = inf  # first non-quiet pass: by a finish / the deadline
+        while True:
+            for task, offset in watching:
+                if task.finished:
+                    flip = min(flip, first_pass(task.last_end, offset))
+            watching = [entry for entry in watching if not entry[0].finished]
+            end = min(stop, flip + 1)
+            horizon = instant(end * count) if end < inf else inf
+            early = stop == inf and horizon > deadline  # not yet located
+            self._advance_to(
+                deadline if early else horizon,
+                stop=tuple(task for task, _ in watching),
+            )
+            if any(task.finished for task, _ in watching):
+                continue
+            if not early:
+                break
+            stop = first_pass(deadline, count, "right") + 1
+        covered = min(flip, stop)
+        if covered == inf:
+            raise EngineError("poll loop is stuck: no watched task can finish")
+        self._now = instant(covered * count)
+        if self.tracer.enabled:
+            for n, at in enumerate(instants[1 : covered * count + 1].tolist()):
+                self._trace_poll(pending[n % count], at, False)
+        return covered
 
     def wait(self, task: TaskHandle) -> float:
         """Block the host until a task completes; returns completion time."""
@@ -346,7 +414,7 @@ class ExecutionEngine:
         blocked_at = self._now
         deadline = max(deadline, self._now)
         while not task.finished:
-            if not self._advance_to(deadline, stop_task=task):
+            if not self._advance_to(deadline, stop=(task,)):
                 break
         finished = task.finished
         if finished:
@@ -420,7 +488,7 @@ class ExecutionEngine:
         """Advance simulation until the given task finishes."""
         guard = 0
         while not task.finished:
-            progressed = self._advance_to(float("inf"), stop_task=task)
+            progressed = self._advance_to(float("inf"), stop=(task,))
             guard += 1
             if not progressed and not task.finished:
                 raise EngineError(
@@ -442,12 +510,12 @@ class ExecutionEngine:
             self._ready[task.priority].append(_Batch(task))
 
     def _advance_to(
-        self, horizon: float, stop_task: Optional[TaskHandle] = None
+        self, horizon: float, stop: Tuple[TaskHandle, ...] = ()
     ) -> bool:
         """Schedule work-groups with start times up to ``horizon``.
 
-        Returns True if any progress was made.  With ``stop_task`` given,
-        returns as soon as that task finishes.
+        Returns True if any progress was made.  Returns as soon as a task
+        in ``stop`` finishes.
 
         Once the horizon is unbounded and no arrival is pending, the rest
         of the advance is the analytic drain (:meth:`_try_fast_batch`),
@@ -456,16 +524,14 @@ class ExecutionEngine:
         one work-group at a time.
         """
         progressed = False
-        previous_stop = self._stop_task
-        self._stop_task = stop_task
+        previous_stop = self._stop
+        self._stop = stop
         profiling, eager, batch_work = self._ready
         arrivals = self._arrivals
         unit_heap = self._unit_heap
         unbounded = horizon == float("inf")
         try:
             while True:
-                if stop_task is not None and stop_task.finished:
-                    return progressed
                 queue = profiling or eager or batch_work
                 if not queue:
                     if not arrivals:
@@ -477,8 +543,9 @@ class ExecutionEngine:
                     continue
 
                 if unbounded and not arrivals and self._try_fast_batch(horizon):
-                    progressed = True
-                    continue
+                    # The drain empties every queue unless a stop task
+                    # finished: either way this advance is done.
+                    return True
 
                 free_time, unit = unit_heap[0]
                 if arrivals and arrivals[0][0] <= free_time:
@@ -509,9 +576,11 @@ class ExecutionEngine:
                     # finishes the task.
                     queue.popleft()
                     self._finalize(task)
+                    if stop and any(task is t for t in stop):
+                        return True
                 progressed = True
         finally:
-            self._stop_task = previous_stop
+            self._stop = previous_stop
 
     def _try_fast_batch(self, horizon: float) -> bool:
         """Analytic drain of the ready queues (exact, never approximate).
@@ -527,22 +596,14 @@ class ExecutionEngine:
         measurement-RNG consumption; only the simulation cost differs.
         Returns False, draining nothing, unless those preconditions hold.
 
-        When every remaining duration in a batch is the same value ``d``
-        and all units are free at the same instant (the uncontended
-        noise-free case), the greedy schedule is a round-robin with round
-        ends ``a, a+d, a+2d, …`` — a sequential fold that
-        ``np.add.accumulate`` reproduces exactly, so the heap loop
-        collapses to a handful of array ops (gated by
-        :data:`VECTORIZED_BATCH`).
-
-        A ``stop_task`` (plumbed via ``_advance_to``) stops the drain
+        A task in ``stop`` (plumbed via ``_advance_to``) stops the drain
         right after the batch that finishes it; later batches stay queued
         because work submitted afterwards could still preempt them.
         """
         if self._arrivals or horizon != float("inf"):
             return False
 
-        stop_task = self._stop_task
+        stop = self._stop
         unit_heap = self._unit_heap
         heapreplace = heapq.heapreplace
         busy = self._busy_cycles
@@ -554,95 +615,34 @@ class ExecutionEngine:
                 task = batch.task
                 durations = batch.durations
                 index = batch.index
-                count = len(durations) - index
                 arrival = task.arrival_time
                 first_start = task.first_start
                 last_end = task.last_end
-
-                vectorized = False
-                if VECTORIZED_BATCH:
-                    d = float(durations[index])
-                    f0 = unit_heap[0][0]
-                    if (
-                        d > 0.0
-                        and all(t == f0 for t, _ in unit_heap)
-                        and bool(np.all(durations[index:] == d))
-                    ):
-                        busy, start0, end_last = self._vector_rounds(
-                            arrival, d, count, busy
-                        )
-                        if start0 < first_start:
-                            first_start = start0
-                        if end_last > last_end:
-                            last_end = end_last
-                        vectorized = True
-
-                if not vectorized:
-                    # ``tolist`` yields the same floats ``float(durations[i])``
-                    # would, without a numpy scalar per work-group.
-                    for duration in durations[index:].tolist():
-                        free_time, unit = unit_heap[0]
-                        start = (
-                            free_time if free_time > arrival else arrival
-                        )
-                        end = start + duration
-                        heapreplace(unit_heap, (end, unit))
-                        if start < first_start:
-                            first_start = start
-                        if end > last_end:
-                            last_end = end
-                        busy += duration
-
+                # ``tolist`` yields the same floats ``float(durations[i])``
+                # would, without a numpy scalar per work-group.
+                for duration in durations[index:].tolist():
+                    free_time, unit = unit_heap[0]
+                    start = free_time if free_time > arrival else arrival
+                    end = start + duration
+                    heapreplace(unit_heap, (end, unit))
+                    if start < first_start:
+                        first_start = start
+                    if end > last_end:
+                        last_end = end
+                    busy += duration
                 batch.index = len(durations)
                 queue.popleft()
                 task.first_start = first_start
                 task.last_end = last_end
-                task.completed_work_groups += count
+                task.completed_work_groups += len(durations) - index
                 if task.finished:
                     finished.append(task)
-                    if task is stop_task:
-                        stopped = True
+                    stopped = any(task is t for t in stop)
             if stopped:
                 break
         self._busy_cycles = busy
         self._measure_finished(finished)
         return True
-
-    def _vector_rounds(
-        self, arrival: float, d: float, count: int, busy: float
-    ) -> Tuple[float, float, float]:
-        """Closed-form round-robin schedule for an equal-duration batch.
-
-        Preconditions (checked by the caller): every unit free at the
-        same instant ``f0``, every remaining duration equal to ``d > 0``.
-        The event path then pops units in id order (heap ties break on
-        the id) and every unit walks the same end sequence
-        ``a, a+d, a+2d, …`` with ``a = max(f0, arrival)`` — computed here
-        with ``np.add.accumulate``, whose sequential left fold matches
-        the event path's repeated ``end = start + d`` bit for bit.
-        Returns the new busy-cycle fold and the batch's first start and
-        last end.
-        """
-        unit_heap = self._unit_heap
-        f0 = unit_heap[0][0]
-        m = len(unit_heap)
-        a = f0 if f0 > arrival else arrival
-        rounds = -(-count // m)
-        ends = np.add.accumulate(
-            np.concatenate(([a], np.full(rounds, d)))
-        )
-        ids = sorted(unit for _, unit in unit_heap)
-        rebuilt = []
-        for position, unit in enumerate(ids):
-            groups = (count - position + m - 1) // m if position < count else 0
-            free = float(ends[groups]) if groups > 0 else f0
-            rebuilt.append((free, unit))
-        unit_heap[:] = rebuilt
-        heapq.heapify(unit_heap)
-        busy = float(
-            np.add.accumulate(np.concatenate(([busy], np.full(count, d))))[-1]
-        )
-        return busy, float(ends[0]), float(ends[(count - 1) // m + 1])
 
     def _measure_finished(self, tasks: List[TaskHandle]) -> None:
         """Read measurements for drained tasks, in completion order.

@@ -39,30 +39,31 @@ def _never_drain(self, horizon: float) -> bool:
     return False
 
 
+def _no_quiet_passes(self, pending, eager=(), deadline=float("inf")) -> int:
+    """Stand-in poll closed form that covers nothing: poll by poll."""
+    return 0
+
+
 @contextlib.contextmanager
-def forced_engine_path(drain: bool, vectorized: bool = True) -> Iterator[None]:
+def forced_engine_path(drain: bool, quiet_passes: bool = True) -> Iterator[None]:
     """Pin the engine's scheduling path inside the block.
 
     ``drain=False`` patches ``ExecutionEngine._try_fast_batch`` to refuse,
     so every work-group goes through the per-work-group loop;
-    ``vectorized`` pins ``VECTORIZED_BATCH`` (the closed form inside the
-    drain).  Subclass probes that call ``super()._try_fast_batch`` see the
-    patch too.
+    ``quiet_passes=False`` patches ``ExecutionEngine.poll_quiet_passes``
+    to cover no pass, so the asynchronous flow polls one poll at a time.
+    Subclass probes that call ``super()`` see the patches too.
     """
-    saved = (
-        engine_mod.ExecutionEngine._try_fast_batch,
-        engine_mod.VECTORIZED_BATCH,
-    )
+    engine_cls = engine_mod.ExecutionEngine
+    saved = (engine_cls._try_fast_batch, engine_cls.poll_quiet_passes)
     if not drain:
-        engine_mod.ExecutionEngine._try_fast_batch = _never_drain
-    engine_mod.VECTORIZED_BATCH = vectorized
+        engine_cls._try_fast_batch = _never_drain
+    if not quiet_passes:
+        engine_cls.poll_quiet_passes = _no_quiet_passes
     try:
         yield
     finally:
-        (
-            engine_mod.ExecutionEngine._try_fast_batch,
-            engine_mod.VECTORIZED_BATCH,
-        ) = saved
+        engine_cls._try_fast_batch, engine_cls.poll_quiet_passes = saved
 
 
 @pytest.fixture
@@ -227,7 +228,8 @@ def _no_global_state_leaks():
     - the shared ``NULL_TRACER`` must never be switched on,
     - ``ExecutionEngine._try_fast_batch`` patches (which force the
       per-work-group path) must be undone,
-    - ``engine.VECTORIZED_BATCH`` patches must be undone,
+    - ``ExecutionEngine.poll_quiet_passes`` patches (which force the
+      per-poll loop) must be undone,
     - the process-wide cost-kernel memo must be empty when a test starts
       (each test sees cold caches; the memo is cleared after every test).
     """
@@ -240,7 +242,7 @@ def _no_global_state_leaks():
     )
     default_before = config_mod.DEFAULT_CONFIG
     drain_before = engine_mod.ExecutionEngine._try_fast_batch
-    vectorized_before = engine_mod.VECTORIZED_BATCH
+    quiet_before = engine_mod.ExecutionEngine.poll_quiet_passes
     yield
     clear_cost_memo()
     assert config_mod.DEFAULT_CONFIG is default_before, (
@@ -255,6 +257,6 @@ def _no_global_state_leaks():
     assert engine_mod.ExecutionEngine._try_fast_batch is drain_before, (
         "test left ExecutionEngine._try_fast_batch patched"
     )
-    assert engine_mod.VECTORIZED_BATCH == vectorized_before, (
-        "test left engine.VECTORIZED_BATCH patched"
+    assert engine_mod.ExecutionEngine.poll_quiet_passes is quiet_before, (
+        "test left ExecutionEngine.poll_quiet_passes patched"
     )

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event execution engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.device.engine import ExecutionEngine, Priority
 from repro.errors import EngineError
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.kernel import AccessPattern, WorkRange
 from tests.conftest import (
     axpy_output_ok,
@@ -137,6 +140,45 @@ class TestPolling:
         else:
             pytest.fail("task never completed")
         assert task.finished
+
+    def test_quiet_passes_land_on_the_deadline_pass(self, cpu, config):
+        """A task that outlasts the deadline: the step lands on the first
+        pass that starts past it, on the per-poll fold's float."""
+        engine = ExecutionEngine(cpu, config)
+        variant = make_axpy_variant("v", trips=2000)
+        task = engine.submit(
+            variant, make_axpy_args(64, config), WorkRange(0, 64)
+        )
+        deadline = engine.now + 2_050.0
+        expected = engine.now
+        while expected <= deadline:
+            expected += cpu.spec.host_query_latency
+        assert engine.poll_quiet_passes([task], (), deadline) == 21
+        assert engine.now == expected
+        assert engine.poll_quiet_passes([task], (), deadline) == 0
+
+    def test_no_quiet_passes_without_query_latency(self, cpu, config):
+        """A zero query latency never moves the host clock: no step."""
+        spec = dataclasses.replace(cpu.spec, host_query_latency=0.0)
+        engine = ExecutionEngine(type(cpu)(spec, cpu.memory, config), config)
+        task = engine.submit(
+            make_axpy_variant("v"), make_axpy_args(4, config), WorkRange(0, 4)
+        )
+        assert engine.poll_quiet_passes([task]) == 0
+        assert engine.poll_quiet_passes([]) == 0
+
+    def test_quiet_passes_refuse_a_task_that_cannot_finish(self, cpu, config):
+        """A hung task with no deadline would be polled forever."""
+        engine = ExecutionEngine(cpu, config)
+        engine.injector = FaultInjector(
+            FaultPlan([FaultRule(kind=FaultKind.HANG)], seed=1)
+        )
+        task = engine.submit(
+            make_axpy_variant("v"), make_axpy_args(4, config), WorkRange(0, 4)
+        )
+        assert task.hung
+        with pytest.raises(EngineError, match="stuck"):
+            engine.poll_quiet_passes([task])
 
 
 class TestMeasurement:

@@ -1,10 +1,10 @@
-"""Equivalence harness: event, fast-batch, and vectorized paths agree.
+"""Equivalence harness: the event and analytic paths agree.
 
 Extends ``test_fast_batch_property``: where that suite drives one
 single-task batch, this one runs whole *scenarios* — contended
 mixed-priority queues, interleaved host polls and waits, deadline
 waits with injected hangs, latency faults, noise on and off — through
-each of the engine's three scheduling paths and asserts exact equality
+each of the engine's two scheduling paths and asserts exact equality
 of every observable: task intervals, measured cycles, host clock,
 utilization, unit free times, launch counts, trace events, and output
 buffers.  Zero tolerance: comparisons are ``==`` / ``array_equal``,
@@ -42,15 +42,13 @@ from tests.conftest import (  # noqa: E402
     make_axpy_variant,
 )
 
-#: The three scheduling paths, as ``(drain, vectorized)`` forcings of
+#: The two scheduling paths, as ``(drain, quiet_passes)`` forcings of
 #: :func:`forced_engine_path`.  ``event`` never reaches the analytic
-#: drain; ``fast`` drains analytically but group-by-group; ``vectorized``
-#: additionally collapses equal-duration batches into the numpy closed
-#: form.
+#: drain and polls one poll at a time; ``fast`` drains analytically and
+#: covers quiet poll passes in closed form.
 PATHS = {
     "event": (False, False),
-    "fast": (True, False),
-    "vectorized": (True, True),
+    "fast": (True, True),
 }
 
 
@@ -89,9 +87,9 @@ def assert_snapshots_equal(reference, other, label):
         assert np.array_equal(ref_y, other_y), (label, "outputs")
 
 
-def run_scenario(config, plan, drain, vectorized, engine_cls=ExecutionEngine):
+def run_scenario(config, plan, drain, quiet_passes, engine_cls=ExecutionEngine):
     """Drive one submit/poll/wait scenario under a forced path."""
-    with forced_engine_path(drain, vectorized):
+    with forced_engine_path(drain, quiet_passes):
         engine = engine_cls(make_cpu(config), config)
         tasks, argsets = [], []
         for step in plan:
@@ -154,7 +152,7 @@ def test_scenarios_agree_across_all_paths(plan, noisy, root_seed):
     if not noisy:
         config = config.without_noise()
     reference = run_scenario(config, plan, *PATHS["event"])
-    for label in ("fast", "vectorized"):
+    for label in ("fast",):
         result = run_scenario(config, plan, *PATHS[label])
         assert_snapshots_equal(reference, result, label)
 
@@ -166,8 +164,8 @@ def test_deadline_waits_and_hang_cleanup_agree(noisy):
     if not noisy:
         config = config.without_noise()
 
-    def run(drain, vectorized):
-        with forced_engine_path(drain, vectorized):
+    def run(drain, quiet_passes):
+        with forced_engine_path(drain, quiet_passes):
             engine = ExecutionEngine(make_cpu(config), config)
             plan = FaultPlan(
                 [FaultRule(kind=FaultKind.HANG, variant="hung")], seed=3
@@ -195,13 +193,13 @@ def test_deadline_waits_and_hang_cleanup_agree(noisy):
             return snapshot(engine, [hung, good], [hung_args, good_args])
 
     reference = run(*PATHS["event"])
-    for label in ("fast", "vectorized"):
+    for label in ("fast",):
         assert_snapshots_equal(reference, run(*PATHS[label]), label)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_latency_faults_agree(noisy):
-    """Injected latency scaling perturbs all three paths identically."""
+    """Injected latency scaling perturbs both paths identically."""
     config = ReproConfig(seed=11)
     if not noisy:
         config = config.without_noise()
@@ -217,8 +215,8 @@ def test_latency_faults_agree(noisy):
         }
     ] * 3
 
-    def run(drain, vectorized):
-        with forced_engine_path(drain, vectorized):
+    def run(drain, quiet_passes):
+        with forced_engine_path(drain, quiet_passes):
             engine = ExecutionEngine(make_cpu(config), config)
             engine.injector = FaultInjector(
                 FaultPlan(
@@ -251,7 +249,7 @@ def test_latency_faults_agree(noisy):
             return snapshot(engine, tasks, argsets)
 
     reference = run(*PATHS["event"])
-    for label in ("fast", "vectorized"):
+    for label in ("fast",):
         assert_snapshots_equal(reference, run(*PATHS[label]), label)
 
 
@@ -271,8 +269,8 @@ def test_traced_launches_identical_and_reconcile(fast_slow_pool, mode, flow):
     """
     units = 192
 
-    def run(drain, vectorized):
-        with forced_engine_path(drain, vectorized):
+    def run(drain, quiet_passes):
+        with forced_engine_path(drain, quiet_passes):
             config = dataclasses.replace(ReproConfig(), trace=True)
             runtime = DySelRuntime(make_cpu(config), config)
             runtime.register_pool(fast_slow_pool)
@@ -301,48 +299,10 @@ def test_traced_launches_identical_and_reconcile(fast_slow_pool, mode, flow):
 
     ref_result, ref_events, ref_problems, ref_y = run(*PATHS["event"])
     assert ref_problems == []
-    for label in ("fast", "vectorized"):
+    for label in ("fast",):
         result, events, problems, y = run(*PATHS[label])
         assert problems == [], label
         assert events == ref_events, label
         assert result.elapsed_cycles == ref_result.elapsed_cycles, label
         assert result.selected == ref_result.selected, label
         assert np.array_equal(y, ref_y), label
-
-
-def test_vectorized_closed_form_engages(quiet_config):
-    """Vacuity guard: the forcings exercise the machinery they claim to.
-
-    Under the vectorized forcing the analytic drain *and* the numpy
-    closed form must both fire on an uncontended equal-duration batch;
-    under the fast forcing only the drain fires; under the event forcing
-    neither does.
-    """
-    drained, collapsed = [], []
-
-    class Probe(ExecutionEngine):
-        def _try_fast_batch(self, horizon):
-            result = super()._try_fast_batch(horizon)
-            if result:
-                drained.append(True)
-            return result
-
-        def _vector_rounds(self, arrival, d, count, busy):
-            collapsed.append(True)
-            return super()._vector_rounds(arrival, d, count, busy)
-
-    def run(drain, vectorized):
-        drained.clear()
-        collapsed.clear()
-        with forced_engine_path(drain, vectorized):
-            variant = make_axpy_variant("v", trips=16)
-            args = make_axpy_args(64, quiet_config)
-            engine = Probe(make_cpu(quiet_config), quiet_config)
-            engine.wait(
-                engine.submit(variant, args, WorkRange(0, 64), measure=True)
-            )
-        return bool(drained), bool(collapsed)
-
-    assert run(*PATHS["vectorized"]) == (True, True)
-    assert run(*PATHS["fast"]) == (True, False)
-    assert run(*PATHS["event"]) == (False, False)

@@ -1,12 +1,13 @@
-"""Golden refresh guard: the vectorized hot path changes no output.
+"""Golden refresh guard: the engine's closed forms change no output.
 
 ``test_differential`` checks each launch against ``goldens.json`` under
 whatever path the engine picks by default.  This guard removes the
 "whatever the engine picks": every catalog case × mode × flow runs twice
-— once with the analytic/vectorized drain *on* (the default), once with
-it forced *off* (pure event machinery) — and the two output digests
+— once on the *default* path (analytic drain, quiet poll passes in
+closed form), once on the *reference* path (drain forced off, every
+poll taken one at a time) — and the two output digests and selections
 must agree with each other and with the recorded golden.
-A divergence here is the exact regression the vectorization work could
+A divergence here is the exact regression a closed form could
 introduce: a schedule change that moves a slice boundary or flips a
 winner while each individual run still looks self-consistent.
 """
@@ -30,15 +31,15 @@ from .test_differential import (
     output_digest,
 )
 
-#: ``(drain, vectorized)`` forcings of ``forced_engine_path`` under test.
+#: ``(drain, quiet_passes)`` forcings of ``forced_engine_path`` under test.
 FORCINGS = {
-    "vectorized-on": (True, True),
-    "vectorized-off": (False, False),
+    "default": (True, True),
+    "reference": (False, False),
 }
 
 
-def _launch_digest(case_id, mode, flow, drain, vectorized):
-    with forced_engine_path(drain, vectorized):
+def _launch_digest(case_id, mode, flow, drain, quiet_passes):
+    with forced_engine_path(drain, quiet_passes):
         case, device, config = build_case(case_id)
         runtime = DySelRuntime(device, config)
         runtime.register_pool(case.pool)
@@ -54,7 +55,7 @@ def _launch_digest(case_id, mode, flow, drain, vectorized):
             )
         assert case.validate(args), (
             f"{case_id} diverges from its reference with "
-            f"drain={drain}, vectorized={vectorized}"
+            f"drain={drain}, quiet_passes={quiet_passes}"
         )
         return output_digest(case, args), result.selected
 
@@ -68,17 +69,17 @@ def test_forced_paths_agree_with_each_other_and_the_golden(
     if REGEN:
         pytest.skip("golden regeneration runs the primary suite only")
     digests = {
-        label: _launch_digest(case_id, mode, flow, drain, vectorized)
-        for label, (drain, vectorized) in FORCINGS.items()
+        label: _launch_digest(case_id, mode, flow, drain, quiet_passes)
+        for label, (drain, quiet_passes) in FORCINGS.items()
     }
-    on_digest, on_selected = digests["vectorized-on"]
-    off_digest, off_selected = digests["vectorized-off"]
+    on_digest, on_selected = digests["default"]
+    off_digest, off_selected = digests["reference"]
     assert on_digest == off_digest, (
-        f"{case_id}/{mode.value}/{flow.value}: vectorized drain changed "
+        f"{case_id}/{mode.value}/{flow.value}: the default path changed "
         "the committed output composition"
     )
     assert on_selected == off_selected, (
-        f"{case_id}/{mode.value}/{flow.value}: vectorized drain changed "
+        f"{case_id}/{mode.value}/{flow.value}: the default path changed "
         f"the selection ({on_selected!r} vs {off_selected!r})"
     )
     key = f"{case_id}/{mode.value}/{flow.value}"
