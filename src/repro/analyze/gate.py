@@ -88,6 +88,6 @@ def gate_launch(
         f"{new_mode.value}_{new_flow.value}; blocking rules: {rules}. "
         "Set ReproConfig.verify='strict' to refuse instead.",
         VerificationWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
     return GateDecision(mode=new_mode, flow=new_flow, note=note)

@@ -19,17 +19,24 @@ between:
   (:meth:`~repro.device.engine.ExecutionEngine.poll_quiet_passes`), so
   the loop runs once per state change rather than once per poll.
 
-Both flows are *hardened* against variant faults (:mod:`repro.faults`):
-when the engine carries a fault injector, every submission runs behind
-transient retries with capped backoff, waits carry hang deadlines, and a
+Both flows are *hardened* against variant faults (:mod:`repro.faults`),
+and there is no other path: every submission runs behind transient
+retries with capped backoff, every wait is a deadline wait, and a
 candidate that crashes / corrupts / hangs is dropped from selection with
-its productive slice queued for repair by a surviving variant.  When no
-injector is installed the pre-hardening code paths run bit-for-bit
-unchanged — clean launches pay nothing for the machinery.
+its productive slice queued for repair by a surviving variant.  The hang
+deadline is the one thing a fault injector changes (:func:`_deadline`):
+with none installed nothing can fault or hang, waits are unbounded (so
+the engine's analytic drain still runs them), and a clean launch keeps
+the outputs, selections and cycles it had before the two paths merged.
+Its trace differs only in the host waits: each ``HOST_WAIT`` span
+carries ``deadline``/``timed_out``, the synchronous flow waits on each
+candidate in turn, and the asynchronous remainder's ``REMAINDER_BATCH``
+span is recorded when the remainder finishes, before the eager chunks'.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -177,20 +184,32 @@ def _retry_transients(
             attempts += 1
 
 
+def _deadline(engine: ExecutionEngine, config: ReproConfig) -> float:
+    """The hang deadline of a wait that starts now.
+
+    Only an installed fault injector can hang a task, so without one the
+    deadline is unbounded — and an unbounded wait keeps the engine's
+    analytic drain, which a bounded one would switch off.
+    """
+    if engine.injector is None:
+        return float("inf")
+    return engine.now + config.faults.hang_deadline_cycles
+
+
 def _submit_profiling(
     engine: ExecutionEngine,
     plan: ProfilingPlan,
-    config: Optional[ReproConfig] = None,
-    faults: Optional[List[FaultRecord]] = None,
-    repairs: Optional[List[WorkRange]] = None,
-    kernel: str = "",
+    config: ReproConfig,
+    faults: List[FaultRecord],
+    repairs: List[WorkRange],
+    kernel: str,
 ) -> Dict[str, TaskHandle]:
     """Launch every candidate's micro-profile on its own stream.
 
-    With fault bookkeeping supplied (hardened callers), a candidate whose
-    submission faults permanently is skipped: its fault is recorded, and
-    a productive slice it owned is queued for repair.  Returned handles
-    may include hung tasks — callers must use deadline waits.
+    A candidate whose submission faults permanently is skipped: its
+    fault is recorded, and a productive slice it owned is queued for
+    repair.  Returned handles may include hung tasks — callers wait on
+    them with deadline waits.
     """
     handles: Dict[str, TaskHandle] = {}
     for task in plan.tasks:
@@ -205,16 +224,13 @@ def _submit_profiling(
                 measure=True,
             )
 
-        if faults is None or config is None:
-            handles[task.variant.name] = submit()
-            continue
         try:
             handles[task.variant.name] = _retry_transients(
                 engine, config, task.variant.name, "profile", submit
             )
         except VariantFault as exc:
             _note_fault_exc(engine, faults, kernel, exc, "profile")
-            if task.productive and repairs is not None:
+            if task.productive:
                 repairs.append(task.units)
     return handles
 
@@ -222,7 +238,8 @@ def _submit_profiling(
 def _run_batch_with_fallback(
     engine: ExecutionEngine,
     pool: VariantPool,
-    candidates: List[str],
+    first: str,
+    skip: Callable[[str], bool],
     args,
     units: WorkRange,
     config: ReproConfig,
@@ -230,21 +247,27 @@ def _run_batch_with_fallback(
     stage: str,
     priority: Priority = Priority.BATCH,
     stream: Optional[str] = None,
-) -> Optional[str]:
+) -> str:
     """Run a unit range to completion on the first candidate that can.
 
-    The hardened batch primitive: each candidate gets transient retries
-    and a hang deadline; a candidate that faults permanently hands the
-    *whole* range to the next one (a corrupt attempt's garbage is simply
-    overwritten by the successor).  Returns the completing variant's
-    name; raises :class:`ProfilingFaultError` when every candidate
-    fails — the caller decides whether that degrades or aborts the
-    launch.
+    The batch primitive: ``first`` runs the range; only once it faults
+    are its siblings consulted, in pool order, minus those ``skip``
+    bars.  Each candidate gets transient retries and a hang deadline; a
+    candidate that faults permanently hands the *whole* range to the
+    next one (a corrupt attempt's garbage is simply overwritten by the
+    successor).  Returns the completing variant's name (``first`` for an
+    empty range); raises :class:`ProfilingFaultError` when every
+    candidate fails — the caller decides whether that degrades or
+    aborts the launch.
     """
     if units.empty:
-        return None
+        return first
     tracer = engine.tracer
-    for name in candidates:
+    tried: List[str] = []
+    # Lazy: the siblings are read only once ``first`` has faulted.
+    siblings = (v.name for v in pool.variants if v.name != first and not skip(v.name))
+    for name in itertools.chain((first,), siblings):
+        tried.append(name)
         variant = pool.variant(name)
 
         def submit(variant=variant) -> TaskHandle:
@@ -257,8 +280,7 @@ def _run_batch_with_fallback(
         except VariantFault as exc:
             _note_fault_exc(engine, faults, pool.name, exc, stage)
             continue
-        deadline = engine.now + config.faults.hang_deadline_cycles
-        if engine.wait_deadline(task, deadline):
+        if engine.wait_deadline(task, _deadline(engine, config)):
             if tracer.enabled:
                 tracer.task_span(EventKind.REMAINDER_BATCH, name, task)
             return name
@@ -274,7 +296,36 @@ def _run_batch_with_fallback(
         )
     raise ProfilingFaultError(
         f"kernel {pool.name!r}: no candidate could complete the {stage} "
-        f"range {units} (tried {candidates})",
+        f"range {units} (tried {tried})",
+        faults=tuple(faults),
+    )
+
+
+def _drop_hung(
+    engine: ExecutionEngine,
+    plan: ProfilingPlan,
+    handle: TaskHandle,
+    faults: List[FaultRecord],
+    repairs: List[WorkRange],
+    kernel: str,
+) -> None:
+    """Cancel a micro-profile past its deadline; queue its slice for repair."""
+    engine.cancel(handle)
+    name = handle.variant.name
+    message = "micro-profile exceeded the hang deadline"
+    _note_fault(engine, faults, kernel, name, "hang", "profile", message=message)
+    task = plan.task_for(name)
+    if task.productive:
+        repairs.append(task.units)
+
+
+def _lost_every_candidate(
+    plan: ProfilingPlan, kernel: str, faults: List[FaultRecord], where: str
+) -> ProfilingFaultError:
+    """The error of a profile with no survivor (sandboxes released)."""
+    plan.allocator.release_all()
+    return ProfilingFaultError(
+        f"kernel {kernel!r}: every profiling candidate faulted {where}",
         faults=tuple(faults),
     )
 
@@ -329,15 +380,12 @@ def run_sync(
 ) -> OrchestrationResult:
     """Synchronous flow: profile, barrier, select, batch the remainder.
 
-    With a fault injector installed the flow hardens: faulted candidates
-    drop out of selection, their productive slices are repaired by a
-    survivor, and hung candidates are cancelled at the hang deadline.
-    Zero survivors raises :class:`ProfilingFaultError` (sandboxes
-    released first) so the runtime can degrade the launch.
+    Faulted candidates drop out of selection, their productive slices
+    are repaired by a survivor, and hung candidates are cancelled at the
+    hang deadline.  Zero survivors raises :class:`ProfilingFaultError`
+    (sandboxes released first) so the runtime can degrade the launch.
     """
     start = engine.now
-    tracer = engine.tracer
-    hardened = engine.injector is not None
     record = SelectionRecord(
         kernel=pool.name,
         mode=plan.mode,
@@ -346,86 +394,42 @@ def run_sync(
     )
     faults: List[FaultRecord] = []
     repairs: List[WorkRange] = []
-    if not hardened:
-        handles = _submit_profiling(engine, plan)
-        engine.wait_all(list(handles.values()))
-    else:
-        handles = _submit_profiling(
-            engine, plan, config, faults, repairs, kernel=pool.name
+    handles = _submit_profiling(
+        engine, plan, config, faults, repairs, pool.name
+    )
+    deadline = _deadline(engine, config)
+    for name in list(handles):
+        if not engine.wait_deadline(handles[name], deadline):
+            _drop_hung(
+                engine, plan, handles.pop(name), faults, repairs, pool.name
+            )
+    if not handles:
+        raise _lost_every_candidate(
+            plan, pool.name, faults, "in the synchronous flow"
         )
-        deadline = engine.now + config.faults.hang_deadline_cycles
-        for name in list(handles):
-            if engine.wait_deadline(handles[name], deadline):
-                continue
-            engine.cancel(handles.pop(name))
-            _note_fault(
-                engine,
-                faults,
-                pool.name,
-                name,
-                "hang",
-                "profile",
-                message="micro-profile exceeded the hang deadline",
-            )
-            task = plan.task_for(name)
-            if task.productive:
-                repairs.append(task.units)
-        if not handles:
-            plan.allocator.release_all()
-            raise ProfilingFaultError(
-                f"kernel {pool.name!r}: every profiling candidate faulted "
-                "in the synchronous flow",
-                faults=tuple(faults),
-            )
     for name, handle in handles.items():
         _observe(engine, plan, record, name, handle)
     assert record.selected is not None
     plan.finalize(record.selected, launch)
     profiling_done = engine.now
 
-    winner = pool.variant(record.selected)
-    if not hardened:
-        if not plan.remainder.empty:
-            remainder_task = engine.submit(
-                winner, launch.args, plan.remainder, priority=Priority.BATCH
-            )
-            engine.wait(remainder_task)
-            if tracer.enabled:
-                tracer.task_span(
-                    EventKind.REMAINDER_BATCH, winner.name, remainder_task
-                )
-        return OrchestrationResult(
-            record=record,
-            start_cycles=start,
-            profiling_done_cycles=profiling_done,
-            end_cycles=engine.now,
-        )
-
-    faulty = {fault.variant for fault in faults}
-    candidates = [record.selected] + [
-        name
-        for name in pool.variant_names
-        if name != record.selected and name not in faulty
-    ]
-    repaired_units = 0
+    skip = frozenset(fault.variant for fault in faults).__contains__
     for units in repairs:
         _run_batch_with_fallback(
-            engine, pool, candidates, launch.args, units, config, faults,
-            stage="repair",
+            engine, pool, record.selected, skip, launch.args, units, config,
+            faults, stage="repair",
         )
-        repaired_units += len(units)
-    if not plan.remainder.empty:
-        _run_batch_with_fallback(
-            engine, pool, candidates, launch.args, plan.remainder, config,
-            faults, stage="remainder",
-        )
+    _run_batch_with_fallback(
+        engine, pool, record.selected, skip, launch.args, plan.remainder,
+        config, faults, stage="remainder",
+    )
     return OrchestrationResult(
         record=record,
         start_cycles=start,
         profiling_done_cycles=profiling_done,
         end_cycles=engine.now,
         faults=tuple(faults),
-        repaired_units=repaired_units,
+        repaired_units=sum(len(units) for units in repairs),
     )
 
 
@@ -452,7 +456,6 @@ def run_async(
         )
     start = engine.now
     tracer = engine.tracer
-    hardened = engine.injector is not None
     record = SelectionRecord(
         kernel=pool.name,
         mode=plan.mode,
@@ -461,19 +464,13 @@ def run_async(
     )
     faults: List[FaultRecord] = []
     repairs: List[WorkRange] = []
-    if not hardened:
-        handles = _submit_profiling(engine, plan)
-    else:
-        handles = _submit_profiling(
-            engine, plan, config, faults, repairs, kernel=pool.name
+    handles = _submit_profiling(
+        engine, plan, config, faults, repairs, pool.name
+    )
+    if not handles:
+        raise _lost_every_candidate(
+            plan, pool.name, faults, "at submission in the asynchronous flow"
         )
-        if not handles:
-            plan.allocator.release_all()
-            raise ProfilingFaultError(
-                f"kernel {pool.name!r}: every profiling candidate faulted "
-                "at submission in the asynchronous flow",
-                faults=tuple(faults),
-            )
     #: Variants that faulted this launch; barred from eager dispatch.
     blocklist: Set[str] = {fault.variant for fault in faults}
 
@@ -491,11 +488,7 @@ def run_async(
         ),
     )
 
-    deadline = (
-        engine.now + config.faults.hang_deadline_cycles
-        if hardened
-        else float("inf")
-    )
+    deadline = _deadline(engine, config)
     remaining = plan.remainder
     eager_chunks = 0
     eager_units = 0
@@ -515,21 +508,10 @@ def run_async(
             # hang): cancel it, queue productive slices for repair, and
             # select from the candidates that did finish.
             for name in pending:
-                engine.cancel(handles[name])
-                _note_fault(
-                    engine,
-                    faults,
-                    pool.name,
-                    name,
-                    "hang",
-                    "profile",
-                    message="micro-profile exceeded the hang deadline",
+                _drop_hung(
+                    engine, plan, handles[name], faults, repairs, pool.name
                 )
                 blocklist.add(name)
-                task = plan.task_for(name)
-                if task.productive:
-                    repairs.append(task.units)
-            pending = []
             break
         finished_now: List[str] = []
         for name in pending:
@@ -574,19 +556,16 @@ def run_async(
                     priority=Priority.EAGER,
                 )
 
-            if not hardened:
-                task = submit_eager()
-            else:
-                try:
-                    task = _retry_transients(
-                        engine, config, eager_best, "eager", submit_eager
-                    )
-                except VariantFault as exc:
-                    # Chunk untouched (or overwritten later): leave it at
-                    # the head of ``remaining`` for another variant.
-                    _note_fault_exc(engine, faults, pool.name, exc, "eager")
-                    blocklist.add(eager_best)
-                    continue
+            try:
+                task = _retry_transients(
+                    engine, config, eager_best, "eager", submit_eager
+                )
+            except VariantFault as exc:
+                # Chunk untouched (or overwritten later): leave it at
+                # the head of ``remaining`` for another variant.
+                _note_fault_exc(engine, faults, pool.name, exc, "eager")
+                blocklist.add(eager_best)
+                continue
             remaining = rest
             outstanding.append(task)
             eager_tasks.append((eager_chunks, eager_best, task))
@@ -594,71 +573,43 @@ def run_async(
             eager_units += len(chunk)
 
     if record.selected is None:
-        plan.allocator.release_all()
-        raise ProfilingFaultError(
-            f"kernel {pool.name!r}: every profiling candidate faulted in "
-            "the asynchronous flow",
-            faults=tuple(faults),
+        raise _lost_every_candidate(
+            plan, pool.name, faults, "in the asynchronous flow"
         )
     plan.finalize(record.selected, launch)
     profiling_done = engine.now
 
-    remainder_task = None
-    if not hardened:
-        if not remaining.empty:
-            remainder_task = engine.submit(
-                pool.variant(record.selected),
-                launch.args,
-                remaining,
-                priority=Priority.BATCH,
-            )
-            engine.wait(remainder_task)
-    else:
-        candidates = [record.selected] + [
-            name
-            for name in pool.variant_names
-            if name != record.selected and name not in blocklist
-        ]
-        if not remaining.empty:
-            _run_batch_with_fallback(
-                engine, pool, candidates, launch.args, remaining, config,
-                faults, stage="remainder",
-            )
+    _run_batch_with_fallback(
+        engine, pool, record.selected, frozenset(blocklist).__contains__,
+        launch.args, remaining, config, faults, stage="remainder",
+    )
     engine.barrier()
-    repaired_units = 0
-    if hardened:
-        # A hung eager chunk survives the barrier (it was never
-        # scheduled): cancel it and repair its range, which the winner
-        # re-runs below.
-        for index, variant_name, task in list(eager_tasks):
-            if task.finished:
-                continue
-            engine.cancel(task)
-            _note_fault(
-                engine,
-                faults,
-                pool.name,
-                variant_name,
-                "hang",
-                "eager",
-                message=f"eager chunk {index} never completed",
-            )
-            blocklist.add(variant_name)
-            eager_tasks = [t for t in eager_tasks if t[2] is not task]
-            eager_chunks -= 1
-            eager_units -= len(task.units)
-            repairs.append(task.units)
-        candidates = [record.selected] + [
-            name
-            for name in pool.variant_names
-            if name != record.selected and name not in blocklist
-        ]
-        for units in repairs:
-            _run_batch_with_fallback(
-                engine, pool, candidates, launch.args, units, config,
-                faults, stage="repair",
-            )
-            repaired_units += len(units)
+    # A hung eager chunk survives the barrier (it was never scheduled):
+    # cancel it and repair its range, which the winner re-runs below.
+    for index, variant_name, task in list(eager_tasks):
+        if task.finished:
+            continue
+        engine.cancel(task)
+        _note_fault(
+            engine,
+            faults,
+            pool.name,
+            variant_name,
+            "hang",
+            "eager",
+            message=f"eager chunk {index} never completed",
+        )
+        blocklist.add(variant_name)
+        eager_tasks = [t for t in eager_tasks if t[2] is not task]
+        eager_chunks -= 1
+        eager_units -= len(task.units)
+        repairs.append(task.units)
+    skip = frozenset(blocklist).__contains__
+    for units in repairs:
+        _run_batch_with_fallback(
+            engine, pool, record.selected, skip, launch.args, units, config,
+            faults, stage="repair",
+        )
     if tracer.enabled:
         # Eager chunks finish out of order with profiling polls; after
         # the barrier every handle is final, so their spans are exact.
@@ -669,12 +620,6 @@ def run_async(
                 task,
                 chunk_index=index,
             )
-        if remainder_task is not None:
-            tracer.task_span(
-                EventKind.REMAINDER_BATCH,
-                record.selected,
-                remainder_task,
-            )
     return OrchestrationResult(
         record=record,
         start_cycles=start,
@@ -683,5 +628,5 @@ def run_async(
         eager_chunks=eager_chunks,
         eager_units=eager_units,
         faults=tuple(faults),
-        repaired_units=repaired_units,
+        repaired_units=sum(len(units) for units in repairs),
     )

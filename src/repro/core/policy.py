@@ -17,12 +17,14 @@ with an explicit reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from ..compiler.variants import VariantPool
 from ..config import ReproConfig
 from ..errors import LaunchError
+from ..kernel.kernel import WorkRange
+from ..modes import OrchestrationFlow, ProfilingMode
 from ..obs.events import EventKind
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..predict import Prediction
@@ -30,12 +32,78 @@ from .selection import SelectionCache, SelectionRecord
 
 
 @dataclass(frozen=True)
-class LaunchDecision:
-    """Whether to profile this launch, and which variant to use if not."""
+class LaunchContext:
+    """What a caller knows about one launch beyond the paper's flags.
+
+    :meth:`~repro.core.runtime.DySelRuntime.launch_kernel` takes the
+    paper's launch parameters (Fig 6b) plus one context; the default is a
+    plain paper launch, and the serving layer fills one per admitted
+    request.  :func:`decide` ranks each input against the others.
+
+    * ``pinned_variant`` — with ``profiling=False``, run exactly this
+      variant (a persisted selection); validated against the pool.
+    * ``stream_name`` — the stream a profiling-off batch is attributed to
+      (profiled launches use their own per-candidate streams).
+    * ``drift_rearm`` — with ``profiling=False``, re-profile this launch: a
+      confirmed drift (:mod:`repro.drift`) wants a fresh measurement.
+    * ``predicted`` — a confident model guess (:mod:`repro.predict`) that
+      may replace the micro-profile.
+    * ``work_range`` — run only this half-open sub-range of the units,
+      writing exactly its output slice (the fleet's split parts).
+      ``workload_units`` must be its length, and a ranged launch that
+      asks to profile raises :class:`~repro.errors.LaunchError`.
+    * ``deferred`` — profiling backpressure (:mod:`repro.serve.qos`): a
+      launch that would profile runs profiling-off instead.
+    """
+
+    pinned_variant: Optional[str] = None
+    stream_name: Optional[str] = None
+    drift_rearm: bool = False
+    predicted: Optional[Prediction] = None
+    work_range: Optional[WorkRange] = None
+    deferred: bool = False
+
+
+#: The context of a plain paper launch (no serving inputs).
+PAPER_LAUNCH = LaunchContext()
+
+
+@dataclass(frozen=True)
+class LaunchPlan:
+    """One launch's course: profile, or run one variant without profiling.
+
+    :func:`decide` returns it; the runtime executes it.  ``source`` names
+    the :func:`decide` branch that planned the launch — ``"drift"``,
+    ``"pinned"``, ``"cached"``, ``"default"``, ``"small-workload"``,
+    ``"single-variant"``, ``"dominance"``, ``"predicted"``,
+    ``"deferred"`` or ``"profiling"`` — and is copied onto
+    :class:`~repro.core.runtime.LaunchResult`, so callers never parse
+    ``reason``.  For a profiling plan the runtime fills ``mode`` and
+    ``flow`` (the requested pair, then the gated one), and every
+    demotion derives a new plan (:meth:`demoted`) that keeps ``source``
+    and appends its note to ``reason``.
+    """
 
     profile: bool
     variant_name: Optional[str] = None
     reason: str = ""
+    source: str = ""
+    mode: Optional[ProfilingMode] = None
+    flow: Optional[OrchestrationFlow] = None
+
+    def noted(self, note: str) -> "LaunchPlan":
+        """This plan with ``note`` appended to its reason."""
+        return replace(self, reason=f"{self.reason}; {note}")
+
+    def demoted(self, variant_name: str, note: str) -> "LaunchPlan":
+        """The profiling-off plan that runs ``variant_name`` instead."""
+        return replace(
+            self.noted(note),
+            profile=False,
+            variant_name=variant_name,
+            mode=None,
+            flow=None,
+        )
 
 
 def _validated_cached(
@@ -83,13 +151,10 @@ def decide(
     config: ReproConfig,
     tracer: Tracer = NULL_TRACER,
     now: float = 0.0,
-    pinned_variant: Optional[str] = None,
-    drift_rearm: bool = False,
     dominated: Sequence[str] = (),
-    predicted: Optional[Prediction] = None,
-    deferred: bool = False,
-) -> LaunchDecision:
-    """Resolve the profiling decision for one launch.
+    context: LaunchContext = PAPER_LAUNCH,
+) -> LaunchPlan:
+    """Plan one launch from the paper's flag and the caller's context.
 
     Precedence: an explicit ``profiling=False`` wins (use the pinned
     variant if given, else the cached selection if one exists *and still
@@ -98,18 +163,19 @@ def decide(
     profiling re-profiles, which is how callers handle changed inputs; a
     small workload deactivates profiling regardless.
 
-    ``drift_rearm`` is the drift loop's override (:mod:`repro.drift`):
-    a confirmed throughput drift re-arms profiling for exactly this
-    launch even though the caller deactivated it, *unless* the workload
-    is too small to profile or the pool has nothing to select — then the
-    re-arm is moot and the normal profiling-off path runs (the caller's
-    claim should be released so a later, larger launch retries).
+    ``context.drift_rearm`` is the drift loop's override
+    (:mod:`repro.drift`): a confirmed throughput drift re-arms profiling
+    for exactly this launch even though the caller deactivated it,
+    *unless* the workload is too small to profile or the pool has
+    nothing to select — then the re-arm is moot and the normal
+    profiling-off path runs (the caller's claim goes back, so a later,
+    larger launch retries).
 
-    ``pinned_variant`` is the serving layer's instruction (persistent
-    selection store, :mod:`repro.serve`): run exactly this variant without
-    profiling.  It is validated against the current pool like a cached
-    selection — a pinned name the pool no longer contains is ignored with
-    an explicit reason rather than launched blind.
+    ``context.pinned_variant`` is the serving layer's instruction
+    (persistent selection store, :mod:`repro.serve`): run exactly this
+    variant without profiling.  It is validated against the current pool
+    like a cached selection — a pinned name the pool no longer contains
+    is ignored with an explicit reason rather than launched blind.
 
     ``dominated`` names variants the static cost-bound analysis excluded
     from the micro-profiling candidate set
@@ -117,9 +183,9 @@ def decide(
     but profiling plans are built over the survivors only, and when a
     single candidate survives, profiling is skipped outright — its
     outcome is statically known.  Each exclusion is recorded in the
-    decision reason as ``"statically dominated"``.
+    plan's reason as ``"statically dominated"``.
 
-    ``predicted`` is the serving layer's model guess
+    ``context.predicted`` is the serving layer's model guess
     (:mod:`repro.predict`), already vetted against the confidence
     threshold by the caller.  It is deliberately the *weakest* input:
     it only converts a launch that would otherwise micro-profile into a
@@ -131,41 +197,46 @@ def decide(
     dominance survivors — a predicted variant the static analysis
     excluded falls back to profiling with an explicit note.
 
-    ``deferred`` is the serving layer's profiling *backpressure* flag
-    (:mod:`repro.serve.qos`): the fleet is overloaded, so a launch that
-    would micro-profile (or re-profile for drift) runs profiling-off on
-    the best variant already known — cached selection if valid, else the
-    pool default — with an explicit ``"deferred by backpressure"``
-    reason.  Deferral is *weaker than prediction* (a confident predicted
-    variant still serves; it costs no profiling) and irrelevant to every
-    branch that was not going to profile anyway (pinned, cached,
-    small-workload, single-variant, profiling-off).
+    ``context.deferred`` is the serving layer's profiling
+    *backpressure* flag (:mod:`repro.serve.qos`): the fleet is
+    overloaded, so a launch that would micro-profile (or re-profile for
+    drift) runs profiling-off on the best variant already known — cached
+    selection if valid, else the pool default — with an explicit
+    ``"deferred by backpressure"`` reason.  Deferral is *weaker than
+    prediction* (a confident predicted variant still serves; it costs no
+    profiling) and irrelevant to every branch that was not going to
+    profile anyway (pinned, cached, small-workload, single-variant,
+    profiling-off).
 
     ``tracer``/``now`` report cache traffic to :mod:`repro.obs` when
     tracing is on (``now`` is the engine clock at decision time).
     """
     cached, stale_note = _validated_cached(pool, cache, tracer, now)
     if (
-        drift_rearm
+        context.drift_rearm
         and not profiling_requested
         and len(pool.variants) > 1
         and _base_groups(pool, workload_units)
         >= config.small_workload_threshold
     ):
-        if deferred:
-            return _deferred_decision(
+        if context.deferred:
+            return _deferred_plan(
                 pool, cached, stale_note, kind="drift re-profile"
             )
-        return LaunchDecision(profile=True, reason="drift re-activation")
-    if pinned_variant is not None and not profiling_requested:
-        if pinned_variant in pool.variant_names:
-            return LaunchDecision(
+        return LaunchPlan(
+            profile=True, reason="drift re-activation", source="drift"
+        )
+    pinned = context.pinned_variant
+    if pinned is not None and not profiling_requested:
+        if pinned in pool.variant_names:
+            return LaunchPlan(
                 profile=False,
-                variant_name=pinned_variant,
+                variant_name=pinned,
                 reason="profiling deactivated; pinned selection reused",
+                source="pinned",
             )
         stale_note += (
-            f"pinned selection {pinned_variant!r} is not in the current "
+            f"pinned selection {pinned!r} is not in the current "
             f"pool (variants: {list(pool.variant_names)}); "
         )
     if not profiling_requested:
@@ -177,18 +248,20 @@ def decide(
                     now,
                     selected=cached.selected,
                 )
-            return LaunchDecision(
+            return LaunchPlan(
                 profile=False,
                 variant_name=cached.selected,
                 reason="profiling deactivated; cached selection reused",
+                source="cached",
             )
-        return LaunchDecision(
+        return LaunchPlan(
             profile=False,
             variant_name=pool.initial_default,
             reason=(
                 f"profiling deactivated; {stale_note}no cached selection, "
                 "using default"
             ),
+            source="default",
         )
 
     base_groups = _base_groups(pool, workload_units)
@@ -198,20 +271,22 @@ def decide(
                 EventKind.CACHE_HIT, pool.name, now, selected=cached.selected
             )
         name = cached.selected if cached is not None else pool.initial_default
-        return LaunchDecision(
+        return LaunchPlan(
             profile=False,
             variant_name=name,
             reason=(
                 f"small workload ({base_groups} work-groups < "
                 f"{config.small_workload_threshold}); profiling deactivated"
             ),
+            source="small-workload",
         )
 
     if len(pool.variants) == 1:
-        return LaunchDecision(
+        return LaunchPlan(
             profile=False,
             variant_name=pool.variants[0].name,
             reason="single-variant pool; nothing to select",
+            source="single-variant",
         )
 
     excluded = tuple(n for n in dominated if n in pool.variant_names)
@@ -223,19 +298,21 @@ def decide(
             " (excluded from profiling)"
         )
         if len(survivors) == 1:
-            return LaunchDecision(
+            return LaunchPlan(
                 profile=False,
                 variant_name=survivors[0],
                 reason=(
                     f"single non-dominated candidate; {note}; "
                     "profiling skipped"
                 ),
+                source="dominance",
             )
         notes = f"; {note}"
 
-    if predicted is not None and not drift_rearm:
+    predicted = context.predicted
+    if predicted is not None and not context.drift_rearm:
         if predicted.variant in survivors:
-            return LaunchDecision(
+            return LaunchPlan(
                 profile=False,
                 variant_name=predicted.variant,
                 reason=(
@@ -243,48 +320,43 @@ def decide(
                     f"confidence {predicted.confidence:.2f})"
                     f"{notes}"
                 ),
+                source="predicted",
             )
         notes += (
             f"; predicted {predicted.variant!r} is not a profiling "
             "candidate"
         )
 
-    if deferred:
-        return _deferred_decision(
+    if context.deferred:
+        return _deferred_plan(
             pool, cached, stale_note, kind="micro-profile", notes=notes
         )
-    return LaunchDecision(profile=True, reason=f"profiling activated{notes}")
+    return LaunchPlan(
+        profile=True, reason=f"profiling activated{notes}", source="profiling"
+    )
 
 
-def _deferred_decision(
+def _deferred_plan(
     pool: VariantPool,
     cached: Optional[SelectionRecord],
     stale_note: str,
     kind: str,
     notes: str = "",
-) -> LaunchDecision:
+) -> LaunchPlan:
     """A backpressure-deferred launch: profiling-off on the known best.
 
-    ``kind`` names what was postponed (``"micro-profile"`` for a cold
-    class, ``"drift re-profile"`` for a confirmed-drift re-arm) so
-    deferral accounting can tell the two apart from the reason alone.
+    ``kind`` names what was postponed: ``"micro-profile"`` (a cold class)
+    or ``"drift re-profile"`` (a confirmed-drift re-arm).
     """
     if cached is not None:
-        return LaunchDecision(
-            profile=False,
-            variant_name=cached.selected,
-            reason=(
-                f"{kind} deferred by backpressure; "
-                f"using cached selection{notes}"
-            ),
-        )
-    return LaunchDecision(
+        name, basis = cached.selected, "using cached selection"
+    else:
+        name, basis = pool.initial_default, f"{stale_note}using pool default"
+    return LaunchPlan(
         profile=False,
-        variant_name=pool.initial_default,
-        reason=(
-            f"{kind} deferred by backpressure; "
-            f"{stale_note}using pool default{notes}"
-        ),
+        variant_name=name,
+        reason=f"{kind} deferred by backpressure; {basis}{notes}",
+        source="deferred",
     )
 
 

@@ -1,11 +1,13 @@
 """DySelRuntime: the launch-facing runtime (paper Fig 6b).
 
-``launch_kernel`` resolves the kernel pool, applies the launch policy
-(small-workload deactivation, activation flag, cached selections), gates
-the requested (mode, flow) through the static pool verifier
-(:mod:`repro.analyze`, level set by ``ReproConfig.verify``), runs safe
-point analysis, lays out the productive profiling plan, and drives the
-requested orchestration flow on the device's execution engine.  One
+``launch_kernel`` resolves the kernel pool and asks the launch policy
+for a plan (:func:`repro.core.policy.decide`: small-workload
+deactivation, activation flag, cached selections, and the caller's
+:class:`~repro.core.policy.LaunchContext`).  A profiling plan is gated
+through the static pool verifier (:mod:`repro.analyze`, level set by
+``ReproConfig.verify``), laid out by safe point analysis and the
+productive profiling layout, and run in the gated orchestration flow on
+the device's execution engine; a profiling-off plan runs one batch.  One
 runtime owns one engine, so simulated time accumulates across launches —
 which is how iterative experiments (profile the first iteration, reuse the
 selection) measure amortized overhead.
@@ -16,7 +18,9 @@ slice does not fit the workload) demotes — fully-productive falls back to
 hybrid when the verifier allows it, otherwise profiling is switched off
 and the pool default runs — with the demotion recorded in
 ``LaunchResult.reason`` and a :class:`ProfilingDemotionWarning`, matching
-the verification gate's warn-level behaviour.
+the verification gate's warn-level behaviour.  Each demotion derives a
+profiling-off plan from the current one, so ``LaunchResult.source``
+still names the policy branch that planned the launch.
 
 With ``ReproConfig.trace`` set, every launch emits structured events
 (:mod:`repro.obs`): ``LaunchBegin``/``LaunchEnd`` brackets, gate and plan
@@ -27,8 +31,9 @@ from a recorded trace.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -49,12 +54,12 @@ from ..analyze.dominance import (
 from ..analyze.gate import gate_launch
 from ..analyze.manager import PoolVerifier
 from ..analyze.passes import VerifyOverrides
-from ..compiler.analyses.safe_point import SafePointPlan, safe_point_plan
+from ..compiler.analyses.safe_point import safe_point_plan
 from ..compiler.variants import VariantPool
 from ..config import ReproConfig
 from ..device.base import Device
 from ..device.cost import invalidate_cost_memo, ir_hash
-from ..device.engine import ExecutionEngine, Priority
+from ..device.engine import ExecutionEngine
 from ..drift import DriftConfig, DriftSignal, ReselectionController
 from ..errors import (
     AnalysisError,
@@ -71,9 +76,9 @@ from ..kernel.kernel import KernelSpec, KernelVariant, WorkRange
 from ..kernel.launch import LaunchConfig
 from ..modes import OrchestrationFlow, ProfilingMode
 from ..obs.events import EventKind
-from ..predict import Prediction
 from . import policy
 from .orchestrator import _run_batch_with_fallback, run_async, run_sync
+from .policy import PAPER_LAUNCH, LaunchContext
 from .productive import ProfilingPlan, plan_profiling
 from .registry import DySelKernelRegistry
 from .selection import SelectionCache, SelectionRecord
@@ -104,6 +109,10 @@ class LaunchResult:
     eager_chunks: int = 0
     eager_units: int = 0
     profiling_latency_cycles: float = 0.0
+    #: The ``policy.decide`` branch that planned this launch
+    #: (:attr:`~repro.core.policy.LaunchPlan.source`); runtime demotions
+    #: keep it and note themselves in ``reason``.
+    source: str = ""
 
     @property
     def elapsed_cycles(self) -> float:
@@ -172,11 +181,11 @@ class DySelRuntime:
     def install_faults(self, plan: FaultPlan) -> FaultInjector:
         """Install a :class:`FaultPlan` on this runtime's engine.
 
-        Installing an injector arms the hardened launch paths: transient
-        retries, hang deadlines, productive-slice repair, quarantine and
-        the degradation ladder (``docs/faults.md``).  Without an injector
-        the runtime behaves exactly as before — fault handling costs
-        nothing when chaos testing is off.
+        Every launch already runs the hardened paths — transient retries,
+        deadline waits, productive-slice repair, quarantine and the
+        degradation ladder (``docs/faults.md``).  The injector makes
+        variants fault, and gives waits a finite hang deadline; without
+        one nothing faults and every wait is unbounded.
         """
         injector = FaultInjector(plan)
         self.engine.injector = injector
@@ -358,12 +367,7 @@ class DySelRuntime:
         flow: OrchestrationFlow = OrchestrationFlow.ASYNC,
         initial_variant: Optional[str] = None,
         override_side_effects: bool = False,
-        pinned_variant: Optional[str] = None,
-        stream_name: Optional[str] = None,
-        drift_rearm: bool = False,
-        predicted: Optional[Prediction] = None,
-        work_range: Optional[WorkRange] = None,
-        deferred: bool = False,
+        context: LaunchContext = PAPER_LAUNCH,
     ) -> LaunchResult:
         """Launch a kernel (``DySelLaunchKernel``, Fig 6b).
 
@@ -391,57 +395,16 @@ class DySelRuntime:
             atomics are race-free across work-groups, downgrading the
             verifier's conservative atomics findings from ERROR to
             WARNING so fully/hybrid profiling stays available.
-        pinned_variant:
-            With ``profiling=False``, run exactly this variant (the
-            serving layer's persisted-selection replay); validated
-            against the current pool before use.
-        stream_name:
-            Stream to attribute a profiling-off batch submission to (the
-            serving layer tags each admitted request with its leased
-            stream so traces show per-request queues).  Profiled launches
-            manage their own per-candidate streams and ignore this.
-        drift_rearm:
-            External drift override (the serving layer's
-            :class:`~repro.drift.ReselectionController` confirmed a
-            throughput change for this request's workload class): with
-            ``profiling=False``, re-arm profiling for exactly this
-            launch.  When the runtime's own drift loop is armed
-            (:meth:`enable_drift`) the flag is raised internally and
-            callers never need to pass it.
-        predicted:
-            The serving layer's confident model guess
-            (:class:`repro.predict.Prediction`): with ``profiling=True``,
-            lets the policy skip the micro-profile and run the predicted
-            variant outright — but only when it survives every stronger
-            gate (small workload, single variant, quarantine filtering,
-            dominance exclusion, drift re-arm); otherwise the launch
-            profiles exactly as if no prediction existed.
-        work_range:
-            Execute only this half-open sub-range of the workload's units
-            (the fleet scheduler's work splitting,
-            :mod:`repro.serve.scheduler`): output buffers receive exactly
-            the slice this range computes, so concurrent devices can each
-            run a disjoint part and the caller stitches nothing — the
-            parts already wrote disjoint slices.  ``workload_units`` must
-            equal ``len(work_range)`` (it is this call's unit count, and
-            what LAUNCH_BEGIN records, so ranged traces still reconcile).
-            A ranged launch never micro-profiles: profiling, drift
-            re-arms, and predictions are demoted to a profiling-off run
-            with an explicit reason — split parts ride the selection
-            their class already has; only whole launches pay or re-pay
-            the profile.
-        deferred:
-            The serving layer's profiling-backpressure flag
-            (:mod:`repro.serve.qos`): the fleet is overloaded, so any
-            branch that would micro-profile (or drift-re-profile) runs
-            profiling-off on the cached selection or pool default with a
-            ``"deferred by backpressure"`` reason instead.  Confident
-            predictions still serve (they cost no profiling); branches
-            that were not going to profile are unaffected.
+        context:
+            What the caller knows beyond the paper's flags
+            (:class:`~repro.core.policy.LaunchContext`): the serving
+            layer's pinned selection, stream, drift re-arm, prediction,
+            work range and backpressure.  The default is a plain paper
+            launch.
         """
         if kernel_sig not in self.registry:
             raise LaunchError(f"kernel {kernel_sig!r} is not registered")
-        ranged_note = ""
+        work_range = context.work_range
         if work_range is not None:
             if len(work_range) != workload_units:
                 raise LaunchError(
@@ -449,11 +412,12 @@ class DySelRuntime:
                     f"covers {len(work_range)} unit(s) but workload_units="
                     f"{workload_units}; pass the range's own unit count"
                 )
-            if profiling or drift_rearm or predicted is not None:
-                ranged_note = "; ranged launch never profiles"
-            profiling = False
-            drift_rearm = False
-            predicted = None
+            if profiling or context.drift_rearm:
+                raise LaunchError(
+                    f"kernel {kernel_sig!r}: a ranged launch never "
+                    f"profiles (work_range {work_range!r}); split parts "
+                    "ride their class's selection, so pass profiling=False"
+                )
         if self.engine.injector is not None:
             self.engine.injector.kernel = kernel_sig
         pool = self._active_pool(kernel_sig, self.registry.pool(kernel_sig))
@@ -465,6 +429,9 @@ class DySelRuntime:
         )
         tracer = self.tracer
         if tracer.enabled:
+            ranged = {}
+            if work_range is not None:
+                ranged = {"work_start": work_range.start, "work_end": work_range.end}
             tracer.instant(
                 EventKind.LAUNCH_BEGIN,
                 kernel_sig,
@@ -474,14 +441,7 @@ class DySelRuntime:
                 requested_flow=flow.value,
                 requested_mode=mode.value if mode is not None else None,
                 launch_index=self.engine.launch_count,
-                **(
-                    {
-                        "work_start": work_range.start,
-                        "work_end": work_range.end,
-                    }
-                    if work_range is not None
-                    else {}
-                ),
+                **ranged,
             )
             if dominated and profiling:
                 tracer.instant(
@@ -494,54 +454,94 @@ class DySelRuntime:
                     device_kind=self.device.kind,
                 )
 
-        claimed_drift = False
-        if (
-            not profiling
-            and not drift_rearm
+        # The runtime's own drift loop re-arms a profiling-off launch; the
+        # claim goes back on exit unless the re-profile completes it.
+        claims = (
+            self.drift.claiming(kernel_sig)
+            if self.drift is not None
+            and not (profiling or context.drift_rearm)
             and work_range is None
-            and self.drift is not None
-            and self.drift.should_rearm(kernel_sig)
-        ):
-            claimed_drift = self.drift.claim(kernel_sig)
-        decision = policy.decide(
-            pool,
-            workload_units,
-            profiling,
-            self.cache,
-            self.config,
-            tracer,
-            self.engine.now,
-            pinned_variant=pinned_variant,
-            drift_rearm=drift_rearm or claimed_drift,
-            dominated=dominated,
-            predicted=predicted,
-            deferred=deferred,
+            else contextlib.nullcontext(False)
         )
-        if not decision.profile:
-            if claimed_drift:
-                # The re-arm was moot for this launch (too small to
-                # profile, nothing to select); let a later launch retry.
-                self.drift.release(kernel_sig)
-            if ranged_note:
-                decision = policy.LaunchDecision(
-                    profile=False,
-                    variant_name=decision.variant_name,
-                    reason=decision.reason + ranged_note,
-                )
-            result = self._launch_without_profiling(
+        with claims as claimed:
+            if claimed:
+                context = replace(context, drift_rearm=True)
+            plan = policy.decide(
                 pool,
-                launch,
-                decision,
-                stream_name=stream_name,
-                work_range=work_range,
+                workload_units,
+                profiling,
+                self.cache,
+                self.config,
+                tracer,
+                self.engine.now,
+                dominated=dominated,
+                context=context,
             )
+            if plan.profile:
+                result = self._launch_profiled(
+                    pool,
+                    profile_pool,
+                    launch,
+                    replace(
+                        plan,
+                        mode=mode if mode is not None else pool.mode,
+                        flow=flow,
+                    ),
+                    context,
+                    initial_variant,
+                    override_side_effects,
+                )
+            else:
+                result = self._launch_without_profiling(
+                    pool, launch, plan, context
+                )
+            if claimed and result.profiled:
+                episode = self.drift.complete(kernel_sig, result.selected)
+                if episode is not None and tracer.enabled:
+                    tracer.instant(
+                        EventKind.RESELECTION,
+                        kernel_sig,
+                        self.engine.now,
+                        stale_variant=episode.stale_variant,
+                        new_variant=result.selected,
+                        reselected=episode.reselected,
+                    )
+        if tracer.enabled:
+            tracer.instant(
+                EventKind.LAUNCH_END,
+                kernel_sig,
+                result.end_cycles,
+                selected=result.selected,
+                profiled=result.profiled,
+                mode=result.mode.value if result.mode is not None else None,
+                flow=result.flow.value if result.flow is not None else None,
+                elapsed_cycles=result.elapsed_cycles,
+                profiling_latency_cycles=result.profiling_latency_cycles,
+                eager_chunks=result.eager_chunks,
+                eager_units=result.eager_units,
+                reason=result.reason,
+            )
+        if not plan.profile:
             self._observe_drift(kernel_sig, result, workload_units)
-            return result
+        return result
 
-        effective_mode = mode if mode is not None else pool.mode
-        assert effective_mode is not None
-        effective_flow = flow
-        reason = decision.reason
+    def _launch_profiled(
+        self,
+        pool: VariantPool,
+        profile_pool: VariantPool,
+        launch: LaunchConfig,
+        plan: policy.LaunchPlan,
+        context: LaunchContext,
+        initial_variant: Optional[str],
+        override_side_effects: bool,
+    ) -> LaunchResult:
+        """Gate, lay out and run a profiling plan over ``profile_pool``.
+
+        The verification gate resolves the plan's requested (mode, flow);
+        an infeasible layout or a profile that loses every candidate
+        demotes to a profiling-off plan derived from this one.
+        """
+        assert plan.mode is not None and plan.flow is not None
         report: Optional[VerificationReport] = None
         if self.config.verify != "off":
             report = self.verifier.verify(
@@ -553,244 +553,174 @@ class DySelRuntime:
                 device_kind=self.device.kind,
                 settings=self.config.analyze,
             )
-            gate = gate_launch(
-                report, effective_mode, effective_flow, self.config.verify
-            )
-            if tracer.enabled:
-                tracer.instant(
+            gate = gate_launch(report, plan.mode, plan.flow, self.config.verify)
+            if self.tracer.enabled:
+                self.tracer.instant(
                     EventKind.GATE_DECISION,
-                    kernel_sig,
+                    pool.name,
                     self.engine.now,
-                    requested=f"{effective_mode.value}_{effective_flow.value}",
+                    requested=f"{plan.mode.value}_{plan.flow.value}",
                     resolved=f"{gate.mode.value}_{gate.flow.value}",
                     demoted=gate.demoted,
                     note=gate.note,
                 )
-            effective_mode, effective_flow = gate.mode, gate.flow
             if gate.note:
-                reason += "; " + gate.note
+                plan = plan.noted(gate.note)
+            plan = replace(plan, mode=gate.mode, flow=gate.flow)
         elif (
-            flow is OrchestrationFlow.ASYNC
-            and not effective_mode.supports_async
+            plan.flow is OrchestrationFlow.ASYNC
+            and not plan.mode.supports_async
         ):
             # Pre-verifier fallback (verify="off"): Table 1's silent
             # swap → synchronous demotion.
-            effective_flow = OrchestrationFlow.SYNC
-            reason += "; swap mode forced synchronous flow"
+            plan = replace(
+                plan.noted("swap mode forced synchronous flow"),
+                flow=OrchestrationFlow.SYNC,
+            )
 
-        try:
-            safe = safe_point_plan(
-                profile_pool.variants,
-                compute_units=self.device.spec.compute_units,
-                workload_units=workload_units,
-                multiplier=self.config.safe_point_multiplier,
-            )
-        except AnalysisError as exc:
-            # The workload passed the small-workload policy yet cannot
-            # host one fair slice (huge LCM of work assignment factors):
-            # demote to profiling-off rather than failing the launch.
-            planned = None
-            note = f"safe point analysis infeasible ({exc})"
-            self._warn_demotion(
-                pool.name, f"{note}; demoted to profiling-off (pool default)"
-            )
-            if tracer.enabled:
-                tracer.instant(
-                    EventKind.PLAN_DEMOTION,
-                    pool.name,
-                    self.engine.now,
-                    from_mode=effective_mode.value,
-                    to="profiling-off",
-                    error=str(exc),
-                )
-        else:
-            planned = self._plan_with_demotion(
-                profile_pool,
-                effective_mode,
-                effective_flow,
-                launch,
-                safe,
-                report,
-            )
-        if planned is None:
+        laid_out = self._lay_out(profile_pool, plan, launch, report)
+        if laid_out is None:
             # Nothing profilable fits this launch: run the pool default
             # without profiling instead of failing the launch.
-            if claimed_drift:
-                self.drift.release(kernel_sig)
-            note = (
+            demoted = plan.demoted(
+                pool.initial_default,
                 "profiling plan infeasible; demoted to profiling-off with "
-                "the pool default"
+                "the pool default",
             )
             return self._launch_without_profiling(
-                pool,
-                launch,
-                policy.LaunchDecision(
-                    profile=False,
-                    variant_name=pool.initial_default,
-                    reason=reason + "; " + note,
-                ),
-                stream_name=stream_name,
+                pool, launch, demoted, context
             )
-        plan, effective_mode, effective_flow, demotion_note = planned
-        if demotion_note:
-            reason += "; " + demotion_note
-
+        layout, plan = laid_out
         try:
-            if effective_flow is OrchestrationFlow.SYNC:
+            if plan.flow is OrchestrationFlow.SYNC:
                 outcome = run_sync(
-                    self.engine, profile_pool, plan, launch, self.config
+                    self.engine, profile_pool, layout, launch, self.config
                 )
             else:
                 outcome = run_async(
                     self.engine,
                     profile_pool,
-                    plan,
+                    layout,
                     launch,
                     self.config,
                     initial_variant=initial_variant,
                 )
         except ProfilingFaultError as exc:
-            if claimed_drift:
-                self.drift.release(kernel_sig)
-            return self._degrade_after_faults(
-                kernel_sig, pool, launch, reason, exc, stream_name
-            )
+            return self._degrade_after_faults(pool, launch, plan, exc, context)
         self.cache.record(outcome.record)
         if outcome.faults:
-            self._note_faults(kernel_sig, outcome.faults)
+            self._note_faults(pool.name, outcome.faults)
         assert outcome.record.selected is not None
-        result = LaunchResult(
-            kernel=kernel_sig,
+        return LaunchResult(
+            kernel=pool.name,
             selected=outcome.record.selected,
             profiled=True,
-            mode=effective_mode,
-            flow=effective_flow,
+            mode=plan.mode,
+            flow=plan.flow,
             start_cycles=outcome.start_cycles,
             end_cycles=outcome.end_cycles,
-            reason=reason,
+            reason=plan.reason,
             record=outcome.record,
             eager_chunks=outcome.eager_chunks,
             eager_units=outcome.eager_units,
             profiling_latency_cycles=outcome.profiling_latency_cycles,
+            source=plan.source,
         )
-        if claimed_drift:
-            episode = self.drift.complete(kernel_sig, result.selected)
-            if episode is not None and tracer.enabled:
-                tracer.instant(
-                    EventKind.RESELECTION,
-                    kernel_sig,
-                    self.engine.now,
-                    stale_variant=episode.stale_variant,
-                    new_variant=result.selected,
-                    reselected=episode.reselected,
-                )
-        if tracer.enabled:
-            tracer.instant(
-                EventKind.LAUNCH_END,
-                kernel_sig,
-                result.end_cycles,
-                selected=result.selected,
-                profiled=True,
-                mode=effective_mode.value,
-                flow=effective_flow.value,
-                elapsed_cycles=result.elapsed_cycles,
-                profiling_latency_cycles=result.profiling_latency_cycles,
-                eager_chunks=result.eager_chunks,
-                eager_units=result.eager_units,
-                reason=reason,
-            )
-        return result
 
-    def _plan_with_demotion(
+    def _lay_out(
         self,
         pool: VariantPool,
-        mode: ProfilingMode,
-        flow: OrchestrationFlow,
+        plan: policy.LaunchPlan,
         launch: LaunchConfig,
-        safe: SafePointPlan,
         report: Optional[VerificationReport],
-    ) -> Optional[
-        Tuple[ProfilingPlan, ProfilingMode, OrchestrationFlow, str]
-    ]:
+    ) -> Optional[Tuple[ProfilingPlan, policy.LaunchPlan]]:
         """Lay out the profiling plan, demoting when it does not fit.
 
-        The workload passed the small-workload policy, yet the fair slice
-        from safe point analysis can still exceed what the launch has
-        (fully-productive needs K slices; a huge LCM of work assignment
-        factors can outgrow even one).  Raising here would fail a launch
-        that plain execution handles fine, so instead:
-
-        * fully-productive retries as hybrid (one shared slice, K−1
-          sandboxes) when the verifier deems hybrid legal for this pool —
-          or unconditionally when verification is off;
-        * anything still infeasible demotes to profiling-off (``None``),
-          and the caller runs the pool default.
-
-        Every demotion warns (:class:`ProfilingDemotionWarning`) and is
-        recorded in the trace and the launch reason — the gate's
-        warn-level philosophy, applied to plan layout.
+        The workload passed the small-workload policy, yet safe point
+        analysis can find no fair slice (a huge LCM of work assignment
+        factors), or the slice can exceed what the launch has
+        (fully-productive needs K slices).  Rather than fail a launch
+        that plain execution handles, fully-productive retries as hybrid
+        (one shared slice, K−1 sandboxes) where the verifier allows it;
+        anything still infeasible returns ``None`` (profiling-off).
+        Every demotion warns and is traced.
         """
+        mode = plan.mode
+        assert mode is not None and plan.flow is not None
         try:
-            return plan_profiling(pool, mode, launch, safe), mode, flow, ""
+            safe = safe_point_plan(
+                pool.variants,
+                compute_units=self.device.spec.compute_units,
+                workload_units=launch.workload_units,
+                multiplier=self.config.safe_point_multiplier,
+            )
+        except AnalysisError as exc:
+            note = f"safe point analysis infeasible ({exc})"
+            self._demote_layout(pool.name, mode, note, exc)
+            return None
+        try:
+            return plan_profiling(pool, mode, launch, safe), plan
         except ProfilingError as exc:
-            first_error = exc
+            error = exc
 
-        note = f"profiling plan infeasible for {mode.value} ({first_error})"
-        if mode is ProfilingMode.FULLY:
-            hybrid_flow = flow
-            legal = True
-            if report is not None:
-                if report.is_legal(ProfilingMode.HYBRID, flow):
-                    pass
-                elif report.is_legal(
-                    ProfilingMode.HYBRID, OrchestrationFlow.SYNC
-                ):
-                    hybrid_flow = OrchestrationFlow.SYNC
-                else:
-                    legal = False
-            if legal:
-                try:
-                    plan = plan_profiling(
-                        pool, ProfilingMode.HYBRID, launch, safe
-                    )
-                except ProfilingError:
-                    pass
-                else:
-                    demotion = f"{note}; demoted to hybrid"
-                    self._warn_demotion(pool.name, demotion)
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            EventKind.PLAN_DEMOTION,
-                            pool.name,
-                            self.engine.now,
-                            from_mode=mode.value,
-                            to=f"hybrid_{hybrid_flow.value}",
-                            error=str(first_error),
-                        )
-                    return plan, ProfilingMode.HYBRID, hybrid_flow, demotion
+        note = f"profiling plan infeasible for {mode.value} ({error})"
+        # Hybrid runs in the requested flow if the verifier allows it
+        # there, else synchronously (no report: verification is off).
+        hybrid_flows = [
+            flow
+            for flow in (plan.flow, OrchestrationFlow.SYNC)
+            if report is None or report.is_legal(ProfilingMode.HYBRID, flow)
+        ]
+        if mode is ProfilingMode.FULLY and hybrid_flows:
+            try:
+                layout = plan_profiling(pool, ProfilingMode.HYBRID, launch, safe)
+            except ProfilingError:
+                pass
+            else:
+                note += "; demoted to hybrid"
+                flow = hybrid_flows[0]
+                self._demote_layout(
+                    pool.name, mode, note, error, f"hybrid_{flow.value}"
+                )
+                hybrid = replace(
+                    plan.noted(note), mode=ProfilingMode.HYBRID, flow=flow
+                )
+                return layout, hybrid
+        self._demote_layout(pool.name, mode, note, error)
+        return None
 
-        self._warn_demotion(
-            pool.name, f"{note}; demoted to profiling-off (pool default)"
-        )
+    def _demote_layout(
+        self,
+        kernel: str,
+        mode: ProfilingMode,
+        note: str,
+        error: Exception,
+        to: str = "profiling-off",
+    ) -> None:
+        """Warn about and trace one layout demotion (to hybrid or off)."""
+        if to == "profiling-off":
+            note += "; demoted to profiling-off (pool default)"
+        self._warn_demotion(kernel, note, stacklevel=6)
         if self.tracer.enabled:
             self.tracer.instant(
                 EventKind.PLAN_DEMOTION,
-                pool.name,
+                kernel,
                 self.engine.now,
                 from_mode=mode.value,
-                to="profiling-off",
-                error=str(first_error),
+                to=to,
+                error=str(error),
             )
-        return None
 
-    def _warn_demotion(self, kernel: str, note: str) -> None:
+    def _warn_demotion(
+        self, kernel: str, note: str, stacklevel: int = 5
+    ) -> None:
         """Emit the profiling-demotion warning for one launch."""
         warnings.warn(
             f"kernel {kernel!r}: {note}. The launch continues; set a "
             "larger workload or a smaller safe_point_multiplier to keep "
             "profiling active.",
             ProfilingDemotionWarning,
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
 
     # ------------------------------------------------------------------
@@ -904,12 +834,11 @@ class DySelRuntime:
 
     def _degrade_after_faults(
         self,
-        kernel_sig: str,
         pool: VariantPool,
         launch: LaunchConfig,
-        reason: str,
+        plan: policy.LaunchPlan,
         exc: ProfilingFaultError,
-        stream_name: Optional[str],
+        context: LaunchContext,
     ) -> LaunchResult:
         """Profiling lost every candidate: degrade to a profiling-off run.
 
@@ -920,6 +849,7 @@ class DySelRuntime:
         faulted-but-unquarantined ones.  When nothing remains the launch
         aborts with :class:`LaunchAbortedError`.
         """
+        kernel_sig = pool.name
         self._note_faults(kernel_sig, exc.faults)
         faulted = tuple(sorted({f.variant for f in exc.faults}))
         if self.tracer.enabled:
@@ -952,92 +882,61 @@ class DySelRuntime:
         )
         self._warn_demotion(kernel_sig, note)
         return self._launch_without_profiling(
-            pool,
-            launch,
-            policy.LaunchDecision(
-                profile=False,
-                variant_name=default,
-                reason=reason + "; " + note,
-            ),
-            stream_name=stream_name,
+            pool, launch, plan.demoted(default, note), context
         )
 
     def _launch_without_profiling(
         self,
         pool: VariantPool,
         launch: LaunchConfig,
-        decision: policy.LaunchDecision,
-        stream_name: Optional[str] = None,
-        work_range: Optional[WorkRange] = None,
+        plan: policy.LaunchPlan,
+        context: LaunchContext,
     ) -> LaunchResult:
-        """Run the decided variant over the whole workload in one batch.
+        """Run the planned variant over the launch's units in one batch.
 
-        ``work_range`` narrows the batch to a sub-range of units (the
-        fleet scheduler's split parts); the default covers the whole
-        workload.  With a fault injector installed the batch runs through
-        the orchestrator's fallback chain: the decided variant first,
-        then every non-quarantined sibling, until one finishes the whole
-        range cleanly.  Exhausting the chain aborts the launch.
+        The batch covers the whole workload, or ``context.work_range``
+        (the fleet scheduler's split parts).  It runs through the
+        orchestrator's fallback chain: the planned variant first, then —
+        only once it faults — every non-quarantined sibling, until one
+        finishes the whole range cleanly.  Exhausting the chain aborts
+        the launch.
         """
-        assert decision.variant_name is not None
-        span = (
-            work_range
-            if work_range is not None
-            else WorkRange(0, launch.workload_units)
-        )
+        assert plan.variant_name is not None
+        span = context.work_range
+        if span is None:
+            span = WorkRange(0, launch.workload_units)
         start = self.engine.now
-        selected = decision.variant_name
-        reason = decision.reason
-        task = None
-        if self.engine.injector is None:
-            variant = pool.variant(selected)
-            if launch.workload_units > 0:
-                task = self.engine.submit(
-                    variant,
-                    launch.args,
-                    span,
-                    priority=Priority.BATCH,
-                    stream=stream_name,
-                )
-                self.engine.wait(task)
-        elif launch.workload_units > 0:
-            candidates = [selected] + [
-                name
-                for name in pool.variant_names
-                if name != selected
-                and not self.quarantine.is_quarantined(pool.name, name)
-            ]
-            faults: List[FaultRecord] = []
-            try:
-                completed = _run_batch_with_fallback(
-                    self.engine,
-                    pool,
-                    candidates,
-                    launch.args,
-                    span,
-                    self.config,
-                    faults,
-                    stage="batch",
-                    priority=Priority.BATCH,
-                    stream=stream_name,
-                )
-            except ProfilingFaultError as exc:
-                self._note_faults(pool.name, exc.faults)
-                raise LaunchAbortedError(
-                    f"kernel {pool.name!r}: every runnable variant "
-                    "faulted on the batch run",
-                    kernel=pool.name,
-                    quarantined=self.quarantine.quarantined(pool.name),
-                    faulted=tuple(sorted({f.variant for f in exc.faults})),
-                ) from exc
+        faults: List[FaultRecord] = []
+        try:
+            selected = _run_batch_with_fallback(
+                self.engine,
+                pool,
+                plan.variant_name,
+                lambda name: self.quarantine.is_quarantined(pool.name, name),
+                launch.args,
+                span,
+                self.config,
+                faults,
+                stage="batch",
+                stream=context.stream_name,
+            )
+        except ProfilingFaultError as exc:
+            self._note_faults(pool.name, exc.faults)
+            raise LaunchAbortedError(
+                f"kernel {pool.name!r}: every runnable variant "
+                "faulted on the batch run",
+                kernel=pool.name,
+                quarantined=self.quarantine.quarantined(pool.name),
+                faulted=tuple(sorted({f.variant for f in exc.faults})),
+            ) from exc
+        if faults:
             self._note_faults(pool.name, faults)
-            if completed is not None and completed != selected:
-                reason += (
-                    f"; default {selected!r} faulted, batch completed by "
-                    f"{completed!r}"
-                )
-                selected = completed
-        result = LaunchResult(
+        if selected != plan.variant_name:
+            plan = plan.noted(
+                f"default {plan.variant_name!r} faulted, batch completed "
+                f"by {selected!r}"
+            )
+        return LaunchResult(
             kernel=pool.name,
             selected=selected,
             profiled=False,
@@ -1045,25 +944,6 @@ class DySelRuntime:
             flow=None,
             start_cycles=start,
             end_cycles=self.engine.now,
-            reason=reason,
+            reason=plan.reason,
+            source=plan.source,
         )
-        if self.tracer.enabled:
-            if task is not None:
-                self.tracer.task_span(
-                    EventKind.REMAINDER_BATCH, selected, task
-                )
-            self.tracer.instant(
-                EventKind.LAUNCH_END,
-                pool.name,
-                result.end_cycles,
-                selected=result.selected,
-                profiled=False,
-                mode=None,
-                flow=None,
-                elapsed_cycles=result.elapsed_cycles,
-                profiling_latency_cycles=0.0,
-                eager_chunks=0,
-                eager_units=0,
-                reason=reason,
-            )
-        return result

@@ -409,7 +409,9 @@ class ExecutionEngine:
         that cannot make progress (an injected hang) does not wedge the
         host: the clock advances to the deadline, other work keeps
         flowing, and the caller decides what to do with the straggler
-        (usually :meth:`cancel`).
+        (usually :meth:`cancel`).  An infinite ``deadline`` waits like
+        :meth:`wait` (analytic drain included); its ``HOST_WAIT`` span
+        records ``deadline`` as ``None``.
         """
         blocked_at = self._now
         deadline = max(deadline, self._now)
@@ -429,7 +431,7 @@ class ExecutionEngine:
                 blocked_at,
                 self._now,
                 task_id=task.task_id,
-                deadline=deadline,
+                deadline=deadline if deadline < float("inf") else None,
                 timed_out=not finished,
             )
         return finished

@@ -19,16 +19,18 @@ serving fleet cannot ask the programmer, so
 4. the new winner **completes** the episode — recorded with before/after
    variants — and the class's detector re-warms on post-shift traffic.
 
-A claimed re-profile that fails (fault-aborted launch, demoted plan)
-**releases** the claim so the next launch retries; the episode stays
-open until some re-profile succeeds.
+Launches hold a claim with :meth:`ReselectionController.claiming`: a
+claimed re-profile that does not complete its episode (fault-aborted or
+raising launch, demoted plan) hands the claim back on exit, so the next
+launch retries; the episode stays open until some re-profile succeeds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import DriftError
 from .detector import DriftConfig, DriftSignal
@@ -148,14 +150,38 @@ class ReselectionController:
         Consume-once: the first caller per episode gets ``True`` and must
         either :meth:`complete` (re-profile published) or :meth:`release`
         (re-profile failed); everyone else gets ``False`` and keeps
-        serving the decayed-but-live selection.
+        serving the decayed-but-live selection.  Launches use
+        :meth:`claiming`, which cannot forget the release.
         """
+        return self._take(key) is not None
+
+    def _take(self, key: str) -> Optional[DriftEpisode]:
+        """Claim the open episode of ``key``; ``None`` if none is free."""
         with self._lock:
             episode = self._pending.get(key)
             if episode is None or episode.claimed:
-                return False
+                return None
             episode.claimed = True
-            return True
+            return episode
+
+    @contextlib.contextmanager
+    def claiming(self, key: str) -> Iterator[bool]:
+        """Hold one episode's re-profile claim for the ``with`` block.
+
+        Yields whether the claim was taken (:meth:`claim`).  On exit a
+        claim whose episode is still open goes back — the block raised or
+        never re-profiled — while a completed episode leaves nothing to
+        release; a newer episode of the same key, claimed by another
+        holder meanwhile, keeps its claim.
+        """
+        episode = self._take(key)
+        try:
+            yield episode is not None
+        finally:
+            if episode is not None:
+                with self._lock:
+                    if self._pending.get(key) is episode:
+                        episode.claimed = False
 
     def release(self, key: str) -> bool:
         """Give a failed re-profile's claim back (the episode stays open)."""

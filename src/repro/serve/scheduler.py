@@ -54,6 +54,7 @@ from ..compiler.variants import VariantPool
 from ..config import ReproConfig
 from ..core.policy import (
     PLACEMENT_POLICIES,
+    LaunchContext,
     PlacementCandidate,
     PlacementDecision,
     decide_placement,
@@ -1130,6 +1131,10 @@ class LaunchScheduler:
     ) -> ServeOutcome:
         """Run an admitted request (stream leased, cost reserved).
 
+        What the scheduler knows about the launch — the store's pinned
+        selection, the leased stream, a drift re-arm, a prediction, the
+        split range, backpressure — goes into one
+        :class:`~repro.core.policy.LaunchContext`, built in one place.
         ``work_range`` marks a split part: parts never race the profile
         lease, never re-arm drift, and never publish — they ride the
         selection their class already has (store entry, else pool
@@ -1144,93 +1149,92 @@ class LaunchScheduler:
                 stream=stream.name,
             )
         key = signature.key
-
         entry = self.store.lookup(key)
         lease: Optional[str] = None
-        pinned: Optional[str] = None
-        profiling = False
-        deferred = False
-        drift = self.store.drift
-        drift_rearm = False
+        profiling = deferred = drift_rearm = False
         prediction: Optional[Prediction] = None
+        drift = self.store.drift
         with contextlib.ExitStack() as stack:
-            if work_range is not None:
-                if entry is not None:
-                    pinned = entry.selected
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            EventKind.STORE_HIT,
-                            request.kernel,
-                            float(seq),
-                            workload_class=key,
-                            selected=entry.selected,
-                            samples=entry.samples,
-                        )
-            elif entry is not None:
-                if drift is not None and drift.should_rearm(key):
-                    if self._defer_profiling():
-                        # Backpressure: leave the drift episode open (no
-                        # claim consumed) and serve pinned; a launch
-                        # after pressure clears re-profiles the class.
-                        self._record_deferral(
-                            request, key, seq, what="drift re-profile"
-                        )
-                    # A confirmed drift wants this class re-profiled.
-                    # Claim is consume-once and the profile lease rides
-                    # along, so concurrent launches of a drifting class
-                    # produce exactly one re-profile per episode.
-                    elif drift.claim(key):
-                        lease = stack.enter_context(
-                            self.leases.holding(key, seq)
-                        )
-                        if lease is not None:
-                            drift_rearm = True
-                        else:
-                            drift.release(key)
-                if not drift_rearm:
-                    pinned = entry.selected
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            EventKind.STORE_HIT,
-                            request.kernel,
-                            float(seq),
-                            workload_class=key,
-                            selected=entry.selected,
-                            samples=entry.samples,
-                        )
-            elif self._defer_profiling():
-                # Overload: run this cold class on the policy's best
-                # known variant without racing for the lease, publishing
-                # nothing — the class stays cold, so profiling resumes
-                # (and the store still converges to the measured oracle)
-                # once pressure clears.
-                lease = self.leases.defer(key)
-                deferred = True
-                self._record_deferral(
-                    request, key, seq, what="micro-profile"
-                )
-            else:
-                # ``holding`` releases in a finally, so a launch that
-                # raises (fault-aborted, verification refusal) cannot
-                # wedge the class's lease until the steal timeout.
-                lease = stack.enter_context(self.leases.holding(key, seq))
-                profiling = lease is not None
-                if lease is not None and self.tracer.enabled:
-                    kind = (
-                        EventKind.PROFILE_LEASE_GRANT
-                        if lease == ProfileLeaseTable.GRANTED
-                        else EventKind.PROFILE_LEASE_STEAL
+            if (
+                entry is not None
+                and work_range is None
+                and drift is not None
+                and drift.should_rearm(key)
+            ):
+                if self._defer_profiling():
+                    # Backpressure: leave the drift episode open (no
+                    # claim consumed) and serve pinned; a launch after
+                    # pressure clears re-profiles the class.
+                    self._record_deferral(
+                        request, key, seq, what="drift re-profile"
                     )
+                # A confirmed drift wants this class re-profiled.  The
+                # claim is consume-once and the profile lease rides
+                # along, so concurrent launches of a drifting class
+                # produce exactly one re-profile per episode; the claim
+                # goes back on exit unless the re-profile completes it.
+                elif stack.enter_context(drift.claiming(key)):
+                    lease = stack.enter_context(
+                        self.leases.holding(key, seq)
+                    )
+                    drift_rearm = lease is not None
+            pinned = None
+            if entry is not None and not drift_rearm:
+                pinned = entry.selected
+                if self.tracer.enabled:
                     self.tracer.instant(
-                        kind,
+                        EventKind.STORE_HIT,
                         request.kernel,
                         float(seq),
                         workload_class=key,
-                        device=worker.name,
+                        selected=entry.selected,
+                        samples=entry.samples,
                     )
-                if lease is not None:
-                    prediction = self._consult_predictor(request, key, seq)
-
+            elif entry is None and work_range is None:
+                if self._defer_profiling():
+                    # Overload: run this cold class on the policy's best
+                    # known variant without racing for the lease,
+                    # publishing nothing — the class stays cold, so
+                    # profiling resumes (and the store still converges to
+                    # the measured oracle) once pressure clears.
+                    lease = self.leases.defer(key)
+                    profiling = deferred = True
+                    self._record_deferral(
+                        request, key, seq, what="micro-profile"
+                    )
+                else:
+                    # ``holding`` releases in a finally, so a launch that
+                    # raises (fault-aborted, verification refusal) cannot
+                    # wedge the class's lease until the steal timeout.
+                    lease = stack.enter_context(
+                        self.leases.holding(key, seq)
+                    )
+                    profiling = lease is not None
+                    if profiling and self.tracer.enabled:
+                        kind = (
+                            EventKind.PROFILE_LEASE_GRANT
+                            if lease == ProfileLeaseTable.GRANTED
+                            else EventKind.PROFILE_LEASE_STEAL
+                        )
+                        self.tracer.instant(
+                            kind,
+                            request.kernel,
+                            float(seq),
+                            workload_class=key,
+                            device=worker.name,
+                        )
+                    if profiling:
+                        prediction = self._consult_predictor(
+                            request, key, seq
+                        )
+            context = LaunchContext(
+                pinned_variant=pinned,
+                stream_name=stream.name,
+                drift_rearm=drift_rearm,
+                predicted=prediction,
+                work_range=work_range,
+                deferred=deferred,
+            )
             held = lease in (
                 ProfileLeaseTable.GRANTED,
                 ProfileLeaseTable.STOLEN,
@@ -1242,25 +1246,17 @@ class LaunchScheduler:
                         request.kernel,
                         request.args,
                         request.workload_units,
-                        profiling=profiling or deferred,
+                        profiling=profiling,
                         mode=request.mode,
                         flow=request.flow,
-                        pinned_variant=pinned,
-                        stream_name=stream.name,
-                        drift_rearm=drift_rearm,
-                        predicted=prediction,
-                        work_range=work_range,
-                        deferred=deferred,
+                        context=context,
                     )
                 worker.complete(estimate, result.elapsed_cycles)
                 if held:
-                    predicted = self._prediction_applied(prediction, result)
-                    self._publish(
-                        key, request, result, predicted=predicted
+                    predicted = self._settle_prediction(
+                        request, key, seq, prediction, result
                     )
-                    self._trace_prediction(
-                        request, key, seq, prediction, predicted
-                    )
+                    self._publish(key, request, result, predicted=predicted)
                     if result.profiled:
                         self._close_drift_episode(
                             key,
@@ -1271,16 +1267,9 @@ class LaunchScheduler:
                                 entry is not None and entry.predicted
                             ),
                         )
-                    elif drift_rearm:
-                        # The runtime demoted the re-armed launch to
-                        # profiling-off; the episode stays open for the
-                        # next launch to retry.
-                        drift.release(key)
             finally:
                 if result is None:
                     worker.abort(estimate)
-                    if drift_rearm:
-                        drift.release(key)
 
         served_from_store = entry is not None and not drift_rearm
         self._observe_drift(key, request, result, served_from_store, seq)
@@ -1331,43 +1320,36 @@ class LaunchScheduler:
             )
         return None
 
-    @staticmethod
-    def _prediction_applied(
-        prediction: Optional[Prediction], result: LaunchResult
-    ) -> bool:
-        """Whether the launch actually ran on the predicted selection.
-
-        The policy may reject a prediction (drift re-arm, dominance
-        exclusion, variant gone from the pool) or resolve the launch by
-        a stronger gate whose fallback variant merely coincides with the
-        guess — only an explicit ``"predicted selection"`` decision
-        counts.
-        """
-        return (
-            prediction is not None
-            and not result.profiled
-            and result.selected == prediction.variant
-            and result.reason.startswith("predicted selection")
-        )
-
-    def _trace_prediction(
+    def _settle_prediction(
         self,
         request: ServeRequest,
         key: str,
         seq: int,
         prediction: Optional[Prediction],
-        applied: bool,
-    ) -> None:
-        """Account one lease-held launch's prediction outcome."""
+        result: LaunchResult,
+    ) -> bool:
+        """Account one lease-held launch's prediction; whether it applied.
+
+        The policy may reject a prediction (drift re-arm, dominance
+        exclusion, variant gone from the pool) or resolve the launch by
+        a stronger gate whose fallback variant merely coincides with the
+        guess — only a plan from the policy's predicted branch counts,
+        and only when the predicted variant finished the batch (a fault
+        can hand it to a sibling).
+        """
         if prediction is None:
-            return
+            return False
+        applied = (
+            result.source == "predicted"
+            and result.selected == prediction.variant
+        )
         with self._stats_lock:
             if applied:
                 self.stats.predicted_launches += 1
             else:
                 self.stats.prediction_fallbacks += 1
         if not self.tracer.enabled:
-            return
+            return applied
         if applied:
             self.tracer.instant(
                 EventKind.PREDICTION,
@@ -1386,6 +1368,7 @@ class LaunchScheduler:
                 reason="rejected by policy",
                 confidence=prediction.confidence,
             )
+        return applied
 
     def _publish(
         self,

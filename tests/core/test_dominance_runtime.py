@@ -13,7 +13,7 @@ import pytest
 
 from repro.compiler.variants import VariantPool
 from repro.config import AnalyzeSettings, ReproConfig
-from repro.core import DySelRuntime
+from repro.core import DySelRuntime, LaunchContext
 from repro.core.policy import SelectionCache, decide
 from repro.device import make_cpu
 from repro.kernel import KernelSpec
@@ -106,7 +106,7 @@ class TestPrunedProfiling:
             args,
             UNITS,
             profiling=False,
-            pinned_variant="v_x100",
+            context=LaunchContext(pinned_variant="v_x100"),
         )
         assert result.selected == "v_x100"
         assert axpy_output_ok(args)

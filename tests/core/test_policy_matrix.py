@@ -3,17 +3,22 @@
 Every combination of (activation flag x cache state x workload size x
 pinned selection x drift re-arm x pool shape) is checked against an
 independent oracle of the documented precedence, proving each
-``LaunchDecision.reason`` branch reachable and the mapping stable.  A
-directed section covers the quarantine interaction (the runtime filters
-barred variants *before* ``decide`` sees the pool).
+``LaunchPlan.reason`` branch reachable, the mapping stable, and each
+plan's ``source`` the branch its reason names.  The serving inputs
+(pinned selection, drift re-arm, prediction, backpressure) reach
+``decide`` as one :class:`~repro.core.LaunchContext`; the matrix is a
+table over those contexts (:data:`CONTEXTS`).  A directed section covers
+the quarantine interaction (the runtime filters barred variants *before*
+``decide`` sees the pool).
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from repro.compiler.variants import VariantPool
-from repro.core import policy
+from repro.core import LaunchContext, policy
 from repro.core.runtime import DySelRuntime
 from repro.core.selection import (
     SelectionCache,
@@ -37,6 +42,12 @@ POOL = ("multi", "single")
 
 MATRIX = tuple(itertools.product(FLAG, CACHE, SIZE, PINNED, DRIFT, POOL))
 
+#: The context half of the matrix: one LaunchContext per (pinned, drift).
+CONTEXTS = {
+    (pinned, drift): LaunchContext(pinned_variant=pinned, drift_rearm=drift)
+    for pinned, drift in itertools.product(PINNED, DRIFT)
+}
+
 #: Every reason category ``decide`` can produce.
 CATEGORIES = (
     "drift re-activation",
@@ -47,6 +58,22 @@ CATEGORIES = (
     "small workload",
     "single variant",
 )
+
+#: The ``LaunchPlan.source`` of each reason category (the directed
+#: sections add the dominance, prediction and backpressure branches).
+SOURCE_OF = {
+    "drift re-activation": "drift",
+    "profiling activated": "profiling",
+    "pinned reused": "pinned",
+    "cached reused": "cached",
+    "default fallback": "default",
+    "small workload": "small-workload",
+    "single variant": "single-variant",
+    "single survivor": "dominance",
+    "predicted": "predicted",
+    "micro-profile deferred": "deferred",
+    "drift re-profile deferred": "deferred",
+}
 
 
 def build_pool(shape):
@@ -107,6 +134,32 @@ def categorize(reason):
     raise AssertionError(f"unrecognized reason {reason!r}")
 
 
+def plan_for(cell, config, **extra):
+    """``decide`` over one matrix cell, its context extended by ``extra``."""
+    flag, cache_state, size, pinned, drift, pool_shape = cell
+    return policy.decide(
+        build_pool(pool_shape),
+        units_for(size, config),
+        flag,
+        build_cache(cache_state),
+        config,
+        context=replace(CONTEXTS[pinned, drift], **extra),
+    )
+
+
+def decide_with(pool, units, flag, cache, config, dominated=(), **context):
+    """``decide`` with a context built from keyword fields."""
+    return policy.decide(
+        pool,
+        units,
+        flag,
+        cache,
+        config,
+        dominated=dominated,
+        context=LaunchContext(**context),
+    )
+
+
 def oracle(flag, cache_state, size, pinned, drift, pool_shape):
     """Independent restatement of the documented precedence order."""
     multi = pool_shape == "multi"
@@ -131,64 +184,43 @@ def oracle(flag, cache_state, size, pinned, drift, pool_shape):
     "flag,cache_state,size,pinned,drift,pool_shape", MATRIX
 )
 def test_matrix_cell(flag, cache_state, size, pinned, drift, pool_shape, config):
+    cell = (flag, cache_state, size, pinned, drift, pool_shape)
     pool = build_pool(pool_shape)
-    units = units_for(size, config)
-    decision = policy.decide(
-        pool,
-        units,
-        flag,
-        build_cache(cache_state),
-        config,
-        pinned_variant=pinned,
-        drift_rearm=drift,
-    )
-    expected = oracle(flag, cache_state, size, pinned, drift, pool_shape)
-    assert categorize(decision.reason) == expected
+    plan = plan_for(cell, config)
+    expected = oracle(*cell)
+    assert categorize(plan.reason) == expected
+    assert plan.source == SOURCE_OF[expected]
 
-    # Structural invariants of every decision.
-    if decision.profile:
-        assert decision.variant_name is None
+    # Structural invariants of every plan.
+    if plan.profile:
+        assert plan.variant_name is None
     else:
-        assert decision.variant_name in pool.variant_names
-    assert decision.profile == (
+        assert plan.variant_name in pool.variant_names
+    assert plan.profile == (
         expected in ("drift re-activation", "profiling activated")
     )
 
-    # Stability: the same inputs produce the same decision (fresh cache,
+    # Stability: the same inputs produce the same plan (fresh cache,
     # because a stale entry is evicted on first sight by design).
-    again = policy.decide(
-        pool,
-        units,
-        flag,
-        build_cache(cache_state),
-        config,
-        pinned_variant=pinned,
-        drift_rearm=drift,
-    )
-    assert again == decision
+    assert plan_for(cell, config) == plan
 
 
 def test_matrix_reaches_every_reason_category(config):
     reached = set()
-    for flag, cache_state, size, pinned, drift, pool_shape in MATRIX:
-        decision = policy.decide(
-            build_pool(pool_shape),
-            units_for(size, config),
-            flag,
-            build_cache(cache_state),
-            config,
-            pinned_variant=pinned,
-            drift_rearm=drift,
-        )
-        reached.add(categorize(decision.reason))
+    sources = set()
+    for cell in MATRIX:
+        plan = plan_for(cell, config)
+        reached.add(categorize(plan.reason))
+        sources.add(plan.source)
     assert reached == set(CATEGORIES)
+    assert sources == {SOURCE_OF[category] for category in CATEGORIES}
 
 
 class TestPrecedenceEdges:
     """Directed checks of the orderings the matrix oracle encodes."""
 
     def test_drift_rearm_beats_pinned_and_cache(self, fast_slow_pool, config):
-        decision = policy.decide(
+        decision = decide_with(
             fast_slow_pool,
             config.small_workload_threshold * 4,
             False,
@@ -203,7 +235,7 @@ class TestPrecedenceEdges:
     def test_drift_rearm_never_overrides_small_workload(
         self, fast_slow_pool, config
     ):
-        decision = policy.decide(
+        decision = decide_with(
             fast_slow_pool,
             max(1, config.small_workload_threshold // 4),
             False,
@@ -215,7 +247,7 @@ class TestPrecedenceEdges:
 
     def test_drift_rearm_moot_on_single_variant(self, config):
         pool = build_pool("single")
-        decision = policy.decide(
+        decision = decide_with(
             pool,
             config.small_workload_threshold * 4,
             False,
@@ -230,7 +262,7 @@ class TestPrecedenceEdges:
         self, fast_slow_pool, config
     ):
         """profiling=True already re-profiles; drift adds nothing."""
-        decision = policy.decide(
+        decision = decide_with(
             fast_slow_pool,
             config.small_workload_threshold * 4,
             True,
@@ -245,7 +277,7 @@ class TestPrecedenceEdges:
         self, fast_slow_pool, config
     ):
         cache = build_cache("stale")
-        decision = policy.decide(
+        decision = decide_with(
             fast_slow_pool,
             config.small_workload_threshold * 4,
             False,
@@ -269,17 +301,7 @@ class TestPredictionAxis:
     PREDICTED = Prediction(variant="fast", confidence=0.91)
 
     def decide(self, cell, config, predicted):
-        flag, cache_state, size, pinned, drift, pool_shape = cell
-        return policy.decide(
-            build_pool(pool_shape),
-            units_for(size, config),
-            flag,
-            build_cache(cache_state),
-            config,
-            pinned_variant=pinned,
-            drift_rearm=drift,
-            predicted=predicted,
-        )
+        return plan_for(cell, config, predicted=predicted)
 
     @pytest.mark.parametrize(
         "flag,cache_state,size,pinned,drift,pool_shape", MATRIX
@@ -299,6 +321,7 @@ class TestPredictionAxis:
             assert decision.reason.startswith(
                 "predicted selection ('fast', confidence 0.91)"
             )
+            assert decision.source == SOURCE_OF["predicted"]
         else:
             # Every other gate — small workload, single variant, pinned,
             # cached, drift re-arm — is untouched by the prediction.
@@ -316,7 +339,7 @@ class TestPredictionAxis:
     def test_predicted_variant_missing_from_pool_falls_back(
         self, fast_slow_pool, config
     ):
-        decision = policy.decide(
+        decision = decide_with(
             fast_slow_pool,
             config.small_workload_threshold * 4,
             True,
@@ -333,7 +356,7 @@ class TestPredictionAxis:
         self, config
     ):
         pool = build_pool("multi")  # fast + slow
-        predicted_dominated = policy.decide(
+        predicted_dominated = decide_with(
             pool,
             config.small_workload_threshold * 4,
             True,
@@ -347,6 +370,7 @@ class TestPredictionAxis:
         assert not predicted_dominated.profile
         assert predicted_dominated.variant_name == "slow"
         assert "statically dominated" in predicted_dominated.reason
+        assert predicted_dominated.source == SOURCE_OF["single survivor"]
 
     def test_prediction_notes_ride_along_with_dominance(self, config):
         from repro.kernel import KernelSpec
@@ -359,7 +383,7 @@ class TestPredictionAxis:
                 make_axpy_variant("mid"),
             ),
         )
-        decision = policy.decide(
+        decision = decide_with(
             pool,
             config.small_workload_threshold * 4,
             True,
@@ -387,10 +411,13 @@ class TestPredictionAxis:
             "axpy",
             make_axpy_args(units, config),
             units,
-            predicted=Prediction(variant="slow", confidence=0.99),
+            context=LaunchContext(
+                predicted=Prediction(variant="slow", confidence=0.99)
+            ),
         )
         assert result.selected != "slow"
         assert not result.reason.startswith("predicted selection")
+        assert result.source != "predicted"
 
 
 class TestPlacementAxis:
@@ -636,17 +663,7 @@ class TestBackpressureAxis:
         return categorize(reason)
 
     def decide(self, cell, config, deferred):
-        flag, cache_state, size, pinned, drift, pool_shape = cell
-        return policy.decide(
-            build_pool(pool_shape),
-            units_for(size, config),
-            flag,
-            build_cache(cache_state),
-            config,
-            pinned_variant=pinned,
-            drift_rearm=drift,
-            deferred=deferred,
-        )
+        return plan_for(cell, config, deferred=deferred)
 
     @pytest.mark.parametrize(
         "flag,cache_state,size,pinned,drift,pool_shape", MATRIX
@@ -669,6 +686,7 @@ class TestBackpressureAxis:
             return
         assert not decision.profile
         assert self.categorize_deferred(decision.reason) == expected
+        assert decision.source == SOURCE_OF[expected]
         # The fallback basis is oracle-checked, not just relabelled:
         # a valid cached selection serves; anything else (empty or
         # stale cache) drops to the pool default.
@@ -692,7 +710,7 @@ class TestBackpressureAxis:
         """A confident prediction costs no profiling, so backpressure
         has nothing to defer — the predicted serve goes through."""
         predicted = Prediction(variant="fast", confidence=0.93)
-        decision = policy.decide(
+        decision = decide_with(
             build_pool("multi"),
             units_for("large", config),
             True,
@@ -708,7 +726,7 @@ class TestBackpressureAxis:
     def test_deferral_unused_when_dominance_leaves_one_survivor(
         self, config
     ):
-        decision = policy.decide(
+        decision = decide_with(
             build_pool("multi"),
             units_for("large", config),
             True,
@@ -725,7 +743,7 @@ class TestBackpressureAxis:
     def test_deferred_drift_rearm_leaves_cached_serving(self, config):
         """A deferred drift re-profile keeps serving the (possibly
         drifted) cached selection — stale-but-correct beats unprofiled."""
-        decision = policy.decide(
+        decision = decide_with(
             build_pool("multi"),
             units_for("large", config),
             False,
@@ -742,7 +760,7 @@ class TestBackpressureAxis:
         assert decision.variant_name == "fast"
 
     def test_deferred_cold_class_exact_reason(self, config):
-        decision = policy.decide(
+        decision = decide_with(
             build_pool("multi"),
             units_for("large", config),
             True,

@@ -4,11 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.core import DySelRuntime
+from repro.core import DySelRuntime, LaunchContext
 from repro.core.runtime import ProfilingDemotionWarning
 from repro.errors import LaunchError
+from repro.kernel.kernel import WorkRange
 from repro.modes import OrchestrationFlow, ProfilingMode
 from tests.conftest import (
+    AXPY_UNIT,
     axpy_output_ok,
     make_axpy_args,
     make_axpy_variant,
@@ -295,6 +297,87 @@ class TestPlanDemotion:
         assert not result.profiled
         assert result.selected == "w7"
         assert "demoted to profiling-off" in result.reason
+
+
+class TestLaunchContext:
+    """Serving inputs reach the runtime as one ``LaunchContext``."""
+
+    SLICE = WorkRange(128, 256)
+
+    def test_ranged_launch_that_asks_to_profile_is_rejected(
+        self, runtime, config
+    ):
+        args = make_axpy_args(UNITS, config)
+        context = LaunchContext(work_range=self.SLICE)
+        with pytest.raises(LaunchError, match="never profiles"):
+            runtime.launch_kernel(
+                "axpy", args, len(self.SLICE), context=context
+            )
+        with pytest.raises(LaunchError, match="never profiles"):
+            runtime.launch_kernel(
+                "axpy",
+                args,
+                len(self.SLICE),
+                profiling=False,
+                context=dataclasses.replace(context, drift_rearm=True),
+            )
+        assert not args["y"].data.any()  # nothing ran
+
+    def test_ranged_profiling_off_launch_writes_exactly_its_slice(
+        self, runtime, config
+    ):
+        args = make_axpy_args(UNITS, config)
+        result = runtime.launch_kernel(
+            "axpy",
+            args,
+            len(self.SLICE),
+            profiling=False,
+            context=LaunchContext(work_range=self.SLICE),
+        )
+        assert not result.profiled
+        assert result.source == "default"
+        x, y = args["x"].data, args["y"].data
+        lo, hi = self.SLICE.start * AXPY_UNIT, self.SLICE.end * AXPY_UNIT
+        assert (y[lo:hi] == 2.0 * x[lo:hi]).all()
+        assert not y[:lo].any() and not y[hi:].any()
+
+    def test_range_must_cover_the_launch_units(self, runtime, config):
+        with pytest.raises(LaunchError, match="covers 128 unit"):
+            runtime.launch_kernel(
+                "axpy",
+                make_axpy_args(UNITS, config),
+                UNITS,
+                profiling=False,
+                context=LaunchContext(work_range=self.SLICE),
+            )
+
+    def test_pinned_context_runs_the_pinned_variant(self, runtime, config):
+        args = make_axpy_args(UNITS, config)
+        result = runtime.launch_kernel(
+            "axpy",
+            args,
+            UNITS,
+            profiling=False,
+            context=LaunchContext(pinned_variant="slow"),
+        )
+        assert result.selected == "slow"
+        assert result.source == "pinned"
+        assert axpy_output_ok(args)
+
+    def test_demotion_keeps_the_planning_source(self, cpu, config, axpy_spec):
+        rt = DySelRuntime(cpu, config)
+        rt.register_pool(TestPlanDemotion().coprime_pool(axpy_spec))
+        with pytest.warns(ProfilingDemotionWarning):
+            result = rt.launch_kernel(
+                "axpy",
+                make_axpy_args(960, config),
+                960,
+                mode=ProfilingMode.FULLY,
+                flow=OrchestrationFlow.SYNC,
+            )
+        assert not result.profiled
+        assert result.reason.startswith("profiling activated")
+        assert result.source == "profiling"
 
 
 class TestLargePoolStress:

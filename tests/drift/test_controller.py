@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.config import ReproConfig
 from repro.core.runtime import DySelRuntime
 from repro.drift import (
     DriftConfig,
@@ -14,7 +15,8 @@ from repro.drift import (
     DriftState,
     ReselectionController,
 )
-from repro.errors import DriftError
+from repro.errors import DriftError, VerificationError
+from repro.modes import OrchestrationFlow, ProfilingMode
 from tests.conftest import make_axpy_args
 
 #: Fast-confirming tuning for tests: 2-sample baseline, one exceedance
@@ -160,6 +162,62 @@ class TestEpisodeLifecycle:
         assert not controller.should_rearm("k")
 
 
+class TestClaiming:
+    """``claiming``: the claim is held for a block and always settled."""
+
+    def test_exception_inside_the_block_hands_the_claim_back(self):
+        controller = ReselectionController(QUICK)
+        confirm_drift(controller, "k")
+        with pytest.raises(RuntimeError):
+            with controller.claiming("k") as claimed:
+                assert claimed
+                assert not controller.should_rearm("k")
+                raise RuntimeError("the re-armed launch failed")
+        assert controller.should_rearm("k")
+        (episode,) = controller.open_episodes
+        assert not episode.claimed
+        assert controller.claim("k") is True
+
+    def test_block_that_completes_its_episode_leaves_nothing(self):
+        controller = ReselectionController(QUICK)
+        confirm_drift(controller, "k", variant="slow")
+        with controller.claiming("k") as claimed:
+            assert claimed
+            closed = controller.complete("k", "fast")
+        assert controller.open_episodes == ()
+        assert controller.episodes == (closed,)
+        assert closed.completed and not closed.claimed
+        assert not controller.should_rearm("k")
+        assert controller.release("k") is False
+
+    def test_newer_episode_claimed_meanwhile_keeps_its_claim(self):
+        """A plain ``release(key)`` on exit would free the newer claim,
+        and one episode could then get two re-profiles."""
+        controller = ReselectionController(QUICK)
+        confirm_drift(controller, "k")
+        with controller.claiming("k") as claimed:
+            assert claimed
+            controller.complete("k", "fast")
+            # The class drifts again and another holder claims the new
+            # episode before this block exits.
+            confirm_drift(controller, "k")
+            assert controller.claim("k") is True
+        (newer,) = controller.open_episodes
+        assert newer.claimed
+        assert not controller.should_rearm("k")
+        assert controller.claim("k") is False
+
+    def test_unclaimed_block_leaves_the_holders_claim_alone(self):
+        controller = ReselectionController(QUICK)
+        confirm_drift(controller, "k")
+        assert controller.claim("k")  # another holder
+        with controller.claiming("k") as claimed:
+            assert not claimed
+        assert not controller.should_rearm("k")
+        with controller.claiming("no-episode") as claimed:
+            assert not claimed
+
+
 class TestControllerPersistence:
     def test_payload_round_trips_through_json(self):
         controller = ReselectionController(QUICK)
@@ -269,6 +327,38 @@ class TestRuntimeWiring:
         )
         assert big.profiled
         assert big.reason.startswith("drift re-activation")
+
+    def test_raising_rearmed_launch_hands_its_claim_back(
+        self, cpu, fast_slow_pool
+    ):
+        """A re-armed launch that raises after the claim must not keep it:
+        the episode stays open and the next legal launch re-profiles."""
+        config = ReproConfig(verify="strict")
+        runtime = self.make_runtime(cpu, config, fast_slow_pool)
+        controller = runtime.enable_drift(QUICK)
+        confirm_drift(controller, "axpy")
+        with pytest.raises(VerificationError):
+            runtime.launch_kernel(
+                "axpy",
+                make_axpy_args(self.UNITS, config),
+                self.UNITS,
+                profiling=False,
+                mode=ProfilingMode.SWAP,
+                flow=OrchestrationFlow.ASYNC,
+            )
+        assert controller.should_rearm("axpy")
+        (episode,) = controller.open_episodes
+        assert not episode.claimed
+        rearmed = runtime.launch_kernel(
+            "axpy",
+            make_axpy_args(self.UNITS, config),
+            self.UNITS,
+            profiling=False,
+        )
+        assert rearmed.profiled
+        assert rearmed.reason.startswith("drift re-activation")
+        assert rearmed.source == "drift"
+        assert controller.open_episodes == ()
 
     def test_drift_off_runtime_is_unchanged(self, cpu, config, fast_slow_pool):
         runtime = self.make_runtime(cpu, config, fast_slow_pool)
