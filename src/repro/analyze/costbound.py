@@ -81,10 +81,6 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __mul__(self, other: "Interval") -> "Interval":
-        """Product of nonnegative intervals (endpoints multiply)."""
-        return Interval(self.lo * other.lo, self.hi * other.hi)
-
     def scale(self, factor: float) -> "Interval":
         """Scale by a nonnegative constant."""
         if factor < 0:
@@ -95,10 +91,6 @@ class Interval:
         """Interval extension of ``max`` (endpoint-wise for nonneg args)."""
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
-    def union(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both operands."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -107,19 +99,9 @@ class Interval:
         return (self.lo + self.hi) / 2.0
 
     @property
-    def width(self) -> float:
-        """``hi - lo`` (``inf`` when unbounded)."""
-        return self.hi - self.lo
-
-    @property
     def is_bounded(self) -> bool:
         """True when ``hi`` is finite."""
         return bool(np.isfinite(self.hi))
-
-    @property
-    def is_point(self) -> bool:
-        """True when the interval is a single value (exact analysis)."""
-        return self.lo == self.hi
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         """Whether ``value`` lies inside, with relative float ``slack``."""
@@ -134,9 +116,6 @@ class Interval:
         hi = "inf" if not np.isfinite(self.hi) else f"{self.hi:.1f}"
         return f"[{self.lo:.1f}, {hi}]"
 
-
-#: The exact zero interval.
-ZERO = Interval(0.0, 0.0)
 
 #: The fully-unknown interval (analysis gave up).
 UNBOUNDED = Interval(0.0, float("inf"))
@@ -164,11 +143,6 @@ class WideningPolicy:
             raise ValueError(
                 f"data_trip_bounds must satisfy 0 <= lo <= hi, got {self.data_trip_bounds}"
             )
-
-    @property
-    def trip_interval(self) -> Interval:
-        """The trip bounds as an :class:`Interval`."""
-        return Interval(*self.data_trip_bounds)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,13 @@ class VariantPool:
             raise RegistrationError(
                 f"kernel {self.spec.signature.name!r}: empty variant pool"
             )
-        names = [variant.name for variant in self.variants]
-        if len(names) != len(set(names)):
+        # The variant set is immutable after construction, so the name
+        # tuple and the name -> variant map the launch path reads on
+        # every request are built once here.
+        self._by_name = {variant.name: variant for variant in self.variants}
+        self._names = tuple(self._by_name)
+        if len(self._names) != len(self.variants):
+            names = [variant.name for variant in self.variants]
             duplicates = sorted(
                 {name for name in names if names.count(name) > 1}
             )
@@ -69,7 +74,7 @@ class VariantPool:
             self.mode = recommend_mode(self.variants)
         if self.initial_default is None:
             self.initial_default = self.variants[0].name
-        elif self.initial_default not in names:
+        elif self.initial_default not in self._by_name:
             raise RegistrationError(
                 f"kernel {self.spec.signature.name!r}: initial default "
                 f"{self.initial_default!r} is not a registered variant"
@@ -83,7 +88,7 @@ class VariantPool:
     @property
     def variant_names(self) -> Tuple[str, ...]:
         """Registered variant names, in registration order."""
-        return tuple(variant.name for variant in self.variants)
+        return self._names
 
     @property
     def wa_lcm(self) -> int:
@@ -102,13 +107,13 @@ class VariantPool:
 
     def variant(self, name: str) -> KernelVariant:
         """Look up one variant by name."""
-        for candidate in self.variants:
-            if candidate.name == name:
-                return candidate
-        raise RegistrationError(
-            f"kernel {self.name!r} has no variant {name!r} "
-            f"(registered: {list(self.variant_names)})"
-        )
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise RegistrationError(
+                f"kernel {self.name!r} has no variant {name!r} "
+                f"(registered: {list(self.variant_names)})"
+            ) from None
 
     def with_initial_default(self, name: str) -> "VariantPool":
         """Return a copy with a different async-mode initial default."""

@@ -44,6 +44,7 @@ from ..kernel.ir import (
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
 from .base import BenchmarkCase
+from .matrices import segment_sums
 
 #: Lattice extent (x, y, z) and unit block shape.
 DEFAULT_LATTICE = (64, 64, 32)
@@ -160,17 +161,9 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
     p1 = min(unit_end * points_per_unit, geometry.num_points)
     if p0 >= p1:
         return
-    lo = int(geometry.point_ptr[p0])
-    hi = int(geometry.point_ptr[p1])
-    if hi == lo:
-        out[p0:p1] = 0.0
-        return
-    offsets = (geometry.point_ptr[p0:p1] - lo).astype(np.int64)
-    lengths = np.diff(np.append(offsets, hi - lo))
-    sums = np.add.reduceat(
-        geometry.contribution[lo:hi], np.minimum(offsets, hi - lo - 1)
-    )
-    out[p0:p1] = np.where(lengths > 0, sums, 0.0).astype(np.float32)
+    ptr = geometry.point_ptr[p0 : p1 + 1]
+    contribution = geometry.contribution[int(ptr[0]) : int(ptr[-1])]
+    segment_sums(contribution, ptr, out[p0:p1])
 
 
 def base_variant(device_kind: str) -> KernelVariant:

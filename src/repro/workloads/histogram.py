@@ -41,6 +41,9 @@ from .base import BenchmarkCase
 #: Elements per workload unit and histogram bins.
 ELEMS_PER_UNIT = 1024
 BINS = 256
+#: Elements per ``np.bincount`` call: bincount first copies its input to
+#: an intp array, and a chunk this size keeps that copy in cache.
+COUNT_CHUNK = 32768
 #: Default input size.
 DEFAULT_ELEMS = 1 << 20
 
@@ -64,7 +67,13 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
     e1 = min(unit_end * ELEMS_PER_UNIT, len(data))
     if e0 >= e1:
         return
-    hist += np.bincount(data[e0:e1], minlength=BINS).astype(hist.dtype)
+    counts = np.zeros(BINS, dtype=np.intp)
+    for c0 in range(e0, e1, COUNT_CHUNK):
+        chunk = data[c0 : min(c0 + COUNT_CHUNK, e1)]
+        part = np.bincount(chunk, minlength=len(counts))
+        part[: len(counts)] += counts
+        counts = part
+    hist += counts.astype(hist.dtype, copy=False)
 
 
 def _contention(args: Mapping[str, object], unit_ids: np.ndarray) -> np.ndarray:

@@ -72,12 +72,12 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
     p1 = min(unit_end * POINTS_PER_UNIT, features.shape[0])
     if p0 >= p1:
         return
-    block = features[p0:p1]
-    # Squared euclidean distances via the expansion trick.
-    cross = block @ centroids.T
-    c_norm = np.sum(centroids * centroids, axis=1)
-    distances = c_norm[None, :] - 2.0 * cross
-    assign[p0:p1] = np.argmin(distances, axis=1).astype(np.int32)
+    # Squared euclidean distances via the expansion trick, computed in
+    # the matmul's own result: |c|^2 - 2 x.c.
+    distances = features[p0:p1] @ centroids.T
+    distances *= 2.0
+    np.subtract(np.sum(centroids * centroids, axis=1), distances, out=distances)
+    assign[p0:p1] = np.argmin(distances, axis=1)
 
 
 def base_variant() -> KernelVariant:

@@ -45,6 +45,19 @@ def _freeze_arrays(record: object) -> None:
             value.setflags(write=False)
 
 
+def segment_sums(values: np.ndarray, ptr: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = sum(values[ptr[i] - ptr[0] : ptr[i + 1] - ptr[0]])``.
+
+    One ``np.add.reduceat`` over the segments that start inside
+    ``values`` sets the output bits; empty segments, to which reduceat
+    would hand a neighbour's element, are zeroed in place.
+    """
+    starts = ptr[:-1] - ptr[0]
+    live = int(np.searchsorted(starts, len(values)))
+    out[:live] = np.add.reduceat(values, starts[:live])
+    out[ptr[1:] == ptr[:-1]] = 0.0
+
+
 @dataclass(frozen=True)
 class BlockStats:
     """Per-block row statistics driving data-dependent IR evaluators."""

@@ -45,7 +45,7 @@ from ..kernel.ir import (
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
 from .base import BenchmarkCase
-from .matrices import CsrMatrix, diagonal_csr, random_csr
+from .matrices import CsrMatrix, diagonal_csr, random_csr, segment_sums
 
 #: Rows per workload unit.
 ROWS_PER_UNIT = 4
@@ -80,17 +80,10 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
     col = args["col"].data  # type: ignore[union-attr]
     x = args["x"].data  # type: ignore[union-attr]
     y = args["y"].data  # type: ignore[union-attr]
-    lo = int(matrix.indptr[r0])
-    hi = int(matrix.indptr[r1])
-    if hi == lo:
-        y[r0:r1] = 0.0
-        return
-    products = (val[lo:hi] * x[col[lo:hi]]).astype(np.float32)
-    offsets = (matrix.indptr[r0:r1] - lo).astype(np.int64)
-    lengths = np.diff(np.append(offsets, hi - lo))
-    sums = np.add.reduceat(products, np.minimum(offsets, hi - lo - 1))
-    # reduceat misbehaves for empty rows; mask them to zero.
-    y[r0:r1] = np.where(lengths > 0, sums, 0.0).astype(np.float32)
+    ptr = matrix.indptr[r0 : r1 + 1]
+    lo, hi = int(ptr[0]), int(ptr[-1])
+    products = (val[lo:hi] * x[col[lo:hi]]).astype(np.float32, copy=False)
+    segment_sums(products, ptr, y[r0:r1])
 
 
 def _block_stats_eval(field: str) -> Callable:

@@ -87,7 +87,7 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
         hi = min(rows_in_diag, r1)
         lo_off = int(matrix.diag_ptr[j])
         seg = slice(lo_off + r0, lo_off + hi)
-        accum[: hi - r0] += (data[seg] * x[col[seg]]).astype(np.float32)
+        accum[: hi - r0] += (data[seg] * x[col[seg]]).astype(np.float32, copy=False)
     y[matrix.perm[r0:r1]] = accum
 
 

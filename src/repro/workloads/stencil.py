@@ -71,39 +71,34 @@ def stencil_signature() -> KernelSignature:
     )
 
 
-def _row_step(src, dst, z: int, y: int, nz: int, ny: int) -> None:
-    """One output row; boundary cells copy through (Parboil's halo)."""
-    if z == 0 or z == nz - 1 or y == 0 or y == ny - 1:
-        dst[z, y, :] = src[z, y, :]
-        return
-    row = src[z, y, 1:-1]
-    dst[z, y, 1:-1] = (
-        C0 * row
-        + C1
-        * (
-            src[z, y, :-2]
-            + src[z, y, 2:]
-            + src[z, y - 1, 1:-1]
-            + src[z, y + 1, 1:-1]
-            + src[z - 1, y, 1:-1]
-            + src[z + 1, y, 1:-1]
-        )
-    )
-    dst[z, y, 0] = src[z, y, 0]
-    dst[z, y, -1] = src[z, y, -1]
-
-
 def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> None:
-    """Units are UNIT_Y×UNIT_Z row blocks in (z-block, y-block) order."""
-    nx, ny, nz = args["grid"]  # type: ignore[misc]
+    """Units are UNIT_Y×UNIT_Z row blocks in (z-block, y-block) order.
+
+    Each z-block row of the range is one slab: copied through, then its
+    interior overwritten with the Jacobi step, so boundary cells keep the
+    copy (Parboil's halo).
+    """
+    _nx, ny, nz = args["grid"]  # type: ignore[misc]
     src = args["a_in"].data  # type: ignore[union-attr]
     dst = args["a_out"].data  # type: ignore[union-attr]
     y_blocks = ny // UNIT_Y
-    for unit in range(unit_start, unit_end):
-        zb, yb = divmod(unit, y_blocks)
-        for dz in range(UNIT_Z):
-            for dy in range(UNIT_Y):
-                _row_step(src, dst, zb * UNIT_Z + dz, yb * UNIT_Y + dy, nz, ny)
+    for zb in range(unit_start // y_blocks, -(-unit_end // y_blocks)):
+        z0, z1 = zb * UNIT_Z, (zb + 1) * UNIT_Z
+        y0 = max(unit_start - zb * y_blocks, 0) * UNIT_Y
+        y1 = min(unit_end - zb * y_blocks, y_blocks) * UNIT_Y
+        dst[z0:z1, y0:y1] = src[z0:z1, y0:y1]
+        z0, z1, y0, y1 = max(z0, 1), min(z1, nz - 1), max(y0, 1), min(y1, ny - 1)
+        if z0 >= z1 or y0 >= y1:
+            continue
+        z, y = slice(z0, z1), slice(y0, y1)
+        dst[z, y, 1:-1] = C0 * src[z, y, 1:-1] + C1 * (
+            src[z, y, :-2]
+            + src[z, y, 2:]
+            + src[z, y0 - 1 : y1 - 1, 1:-1]
+            + src[z, y0 + 1 : y1 + 1, 1:-1]
+            + src[z0 - 1 : z1 - 1, y, 1:-1]
+            + src[z0 + 1 : z1 + 1, y, 1:-1]
+        )
 
 
 def base_variant(grid, device_kind: str) -> KernelVariant:
