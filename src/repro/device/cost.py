@@ -305,6 +305,23 @@ def invalidate_cost_memo(ir_hashes: Optional[Iterable[str]] = None) -> int:
         return len(doomed)
 
 
+#: One small int per distinct pricing-relevant device state.
+_DEVICE_IDS: Dict[Tuple, int] = {}
+
+
+def _device_id(state: Tuple) -> int:
+    """The memo's stand-in for ``state``: equal states share one id.
+
+    Specs, cache levels and DRAM rows are frozen dataclasses, so equal
+    devices (fleet replicas) share entries.  Hashing them costs a few
+    microseconds, which every pricing would pay in its memo key; an int
+    costs nothing.  Ids outlive :func:`clear_cost_memo`, because live
+    models hold them.
+    """
+    with _MEMO_LOCK:
+        return _DEVICE_IDS.setdefault(state, len(_DEVICE_IDS))
+
+
 def _frozen_inputs(
     args: Mapping[str, object], written: FrozenSet[str]
 ) -> Optional[Tuple[Tuple, Tuple[object, ...]]]:
@@ -438,13 +455,14 @@ class CostModel:
     def __init__(self, device: Device) -> None:
         self.device = device
         #: Memo key component identifying the pricing-relevant device
-        #: state.  Specs, cache levels and DRAM rows are frozen
-        #: dataclasses, so equal devices (fleet replicas) share entries.
-        self._device_key = (
-            type(device).__qualname__,
-            device.spec,
-            device.memory.levels,
-            device.memory.dram,
+        #: state (see :func:`_device_id`).
+        self._device_key = _device_id(
+            (
+                type(device).__qualname__,
+                device.spec,
+                device.memory.levels,
+                device.memory.dram,
+            )
         )
 
     # ------------------------------------------------------------------

@@ -148,9 +148,11 @@ class ExecutionEngine:
         self.tracer = make_tracer(self.config)
         self._now = 0.0
         units = device.spec.compute_units
-        #: Heap of (free_time, unit_id).
-        self._unit_heap: List[Tuple[float, int]] = [(0.0, i) for i in range(units)]
-        heapq.heapify(self._unit_heap)
+        #: Min-heap of unit free times.  Units are interchangeable: a
+        #: work-group takes the earliest free time and leaves its end in
+        #: its place, so no unit id is kept (replacing either of two equal
+        #: times leaves the same multiset).
+        self._unit_heap: List[float] = [0.0] * units
         #: Pending device-side arrivals: (arrival_time, seq, task).
         self._arrivals: List[Tuple[float, int, TaskHandle]] = []
         #: Ready work, one deque of per-task :class:`_Batch`es per
@@ -503,7 +505,7 @@ class ExecutionEngine:
 
     def _device_horizon(self) -> float:
         """Latest unit free time (device-side frontier)."""
-        return max(t for t, _ in self._unit_heap)
+        return max(self._unit_heap)
 
     def _deliver_arrivals(self, up_to: float) -> None:
         """Move tasks whose submit time has passed onto the ready queues."""
@@ -549,7 +551,7 @@ class ExecutionEngine:
                     # finished: either way this advance is done.
                     return True
 
-                free_time, unit = unit_heap[0]
+                free_time = unit_heap[0]
                 if arrivals and arrivals[0][0] <= free_time:
                     # Deliver anything arriving by the dispatch instant so
                     # higher priority work can claim the unit.
@@ -566,7 +568,7 @@ class ExecutionEngine:
                 duration = float(durations[batch.index])
                 batch.index += 1
                 end = start + duration
-                heapq.heapreplace(unit_heap, (end, unit))
+                heapq.heapreplace(unit_heap, end)
                 self._busy_cycles += duration
                 if start < task.first_start:
                     task.first_start = start
@@ -623,10 +625,10 @@ class ExecutionEngine:
                 # ``tolist`` yields the same floats ``float(durations[i])``
                 # would, without a numpy scalar per work-group.
                 for duration in durations[index:].tolist():
-                    free_time, unit = unit_heap[0]
+                    free_time = unit_heap[0]
                     start = free_time if free_time > arrival else arrival
                     end = start + duration
-                    heapreplace(unit_heap, (end, unit))
+                    heapreplace(unit_heap, end)
                     if start < first_start:
                         first_start = start
                     if end > last_end:

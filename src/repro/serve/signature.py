@@ -20,10 +20,13 @@ workloads outside the benchmark suite get input-aware keys for free.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
+
+from ..kernel.buffers import frozen_record
 
 #: Quantization step for the row-length coefficient of variation.  One
 #: step separates "perfectly regular" (banded/diagonal, cv ~ 0) from
@@ -110,6 +113,57 @@ def _sparse_features(name: str, value: object) -> Tuple[Tuple[str, str], ...]:
     return tuple(features)
 
 
+#: Sparse features of frozen inputs, keyed by (argument name, ``id``):
+#: each entry holds a weak reference to its input and the features.
+_SPARSE_FEATURES: Dict[
+    Tuple[str, int], Tuple[weakref.ref, Tuple[Tuple[str, str], ...]]
+] = {}
+
+
+def _forget(key: Tuple[str, int], ref: weakref.ref) -> None:
+    """Drop the entry of a dead input (unless a live one replaced it).
+
+    A weak reference's callback runs before its input's memory is freed,
+    so no live input can hold the dead one's ``id`` yet.  It takes no
+    lock, since garbage collection may run it inside any code.
+    """
+    entry = _SPARSE_FEATURES.get(key)
+    if entry is not None and entry[0] is ref:
+        _SPARSE_FEATURES.pop(key, None)
+
+
+def _remembered(
+    name: str, value: object
+) -> Optional[Tuple[Tuple[str, str], ...]]:
+    """The cached sparse features of argument ``name``, or None.
+
+    Requests launch the same frozen matrix again and again, and its row
+    lengths (``row_nnz`` may be computed on each read, the duck-type
+    test's included), their mean and their spread cost more than the
+    rest of a signature.  Only an input that
+    :func:`~repro.kernel.buffers.frozen_record` accepts (the cost memo's
+    predicate) is cached, since only its features cannot change; the
+    predicate is checked again on every use.  The weak reference tells a
+    live input from a dead one whose ``id`` was reused, and the entry
+    goes when its input dies.
+    """
+    entry = _SPARSE_FEATURES.get((name, id(value)))
+    if entry is None or entry[0]() is not value or not frozen_record(value):
+        return None
+    return entry[1]
+
+
+def _remember(
+    name: str, value: object, features: Tuple[Tuple[str, str], ...]
+) -> None:
+    """Cache the sparse features of a frozen input."""
+    key = (name, id(value))
+    _SPARSE_FEATURES[key] = (
+        weakref.ref(value, lambda ref: _forget(key, ref)),
+        features,
+    )
+
+
 def _buffer_features(name: str, value: object) -> Tuple[Tuple[str, str], ...]:
     """Footprint bucket of one buffer-shaped argument."""
     data = np.asarray(value.data)  # type: ignore[attr-defined]
@@ -145,8 +199,13 @@ def derive_signature(
     features = [("units^2", str(log2_bucket(workload_units)))]
     for name in sorted(args):
         value = args[name]
-        if _is_sparse_like(value):
-            features.extend(_sparse_features(name, value))
+        sparse = _remembered(name, value)
+        if sparse is None and _is_sparse_like(value):
+            sparse = _sparse_features(name, value)
+            if frozen_record(value):
+                _remember(name, value, sparse)
+        if sparse is not None:
+            features.extend(sparse)
         elif _is_buffer_like(value):
             features.extend(_buffer_features(name, value))
     return WorkloadSignature(

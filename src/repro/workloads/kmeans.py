@@ -42,6 +42,12 @@ FEATURES = 32
 CLUSTERS = 8
 #: Default point count.
 DEFAULT_POINTS = 65536
+#: Ranges of at least this many points find the nearest centroid in one
+#: pass per cluster; smaller ones (profiling slices, eager chunks) keep
+#: ``np.argmin``, whose fixed cost is lower.  ``argmin`` pays about 40 ns
+#: per row; the crossover lay between 1,024 and 2,048 points on a 2-vCPU
+#: x86 VM.
+COLUMN_PASS_POINTS = 1536
 
 #: The legal loop orders (see module docstring).
 LEGAL_ORDERS: Tuple[Tuple[str, ...], ...] = (
@@ -72,12 +78,40 @@ def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> Non
     p1 = min(unit_end * POINTS_PER_UNIT, features.shape[0])
     if p0 >= p1:
         return
-    # Squared euclidean distances via the expansion trick, computed in
-    # the matmul's own result: |c|^2 - 2 x.c.
+    # Squared euclidean distances via the expansion trick: |c|^2 - 2 x.c.
     distances = features[p0:p1] @ centroids.T
-    distances *= 2.0
-    np.subtract(np.sum(centroids * centroids, axis=1), distances, out=distances)
-    assign[p0:p1] = np.argmin(distances, axis=1)
+    c_norm = np.sum(centroids * centroids, axis=1)
+    if p1 - p0 < COLUMN_PASS_POINTS:
+        # Computed in the matmul's own result.
+        distances *= 2.0
+        np.subtract(c_norm, distances, out=distances)
+        assign[p0:p1] = np.argmin(distances, axis=1)
+        return
+    # One row per cluster: the same two operations per element, written
+    # transposed, so the nearest centroid takes a pass per cluster.
+    columns = np.empty(distances.shape[::-1], distances.dtype)
+    np.multiply(distances.T, 2.0, out=columns)
+    np.subtract(c_norm[:, None], columns, out=columns)
+    nearest_columns(columns, assign[p0:p1])
+
+
+def nearest_columns(columns: np.ndarray, out: np.ndarray) -> None:
+    """Write ``np.argmin(columns, axis=0)`` to ``out``, one pass per row.
+
+    A point's index is the count of its leading clusters whose distance
+    differs from its minimum: the first index of the minimum, as
+    ``argmin`` takes it, ties and ``-0.0 == 0.0`` included.  A NaN
+    minimum (``argmin`` returns the first NaN) falls back to ``argmin``.
+    """
+    minimum = np.minimum.reduce(columns)
+    if np.isnan(minimum).any():
+        out[...] = np.argmin(columns, axis=0)
+        return
+    differs = columns[0] != minimum
+    out[...] = differs
+    for column in columns[1:-1]:
+        differs &= column != minimum
+        out += differs
 
 
 def base_variant() -> KernelVariant:

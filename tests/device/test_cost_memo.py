@@ -26,6 +26,7 @@ from repro.analyze.catalog import example_entries
 from repro.core.runtime import DySelRuntime
 from repro.device import cost as cost_mod
 from repro.device import make_cpu, make_gpu
+from repro.device.cpu import CpuDevice, CpuMemoryModel
 from repro.device.cost import (
     CostModel,
     clear_cost_memo,
@@ -274,6 +275,40 @@ class TestMemoBasics:
         gpu_cycles = gpu_model.workgroup_cycles(variant, args, WorkRange(0, 32))
         assert cost_memo_stats()["entries"] == 2
         assert not np.array_equal(cpu_cycles, gpu_cycles)
+
+    def test_equal_devices_share_entries_other_specs_do_not(self, quiet_config):
+        """The device key is one small int per distinct device state:
+        replicas built alike share it (and the memo entry), a device
+        whose spec differs in one field gets its own."""
+        variant = make_axpy_variant("v", trips=16)
+        args = make_axpy_args(32, quiet_config)
+        units = WorkRange(0, 32)
+        first = CostModel(make_cpu(quiet_config))
+        replica = CostModel(make_cpu(quiet_config))
+        assert replica._device_key == first._device_key
+        cycles = first.workgroup_cycles(variant, args, units)
+        assert replica.workgroup_cycles(variant, args, units) is cycles
+        assert cost_memo_stats() == {"entries": 1, "hits": 1, "misses": 1}
+
+        cpu = make_cpu(quiet_config)
+        spec = dataclasses.replace(
+            cpu.spec,
+            workgroup_dispatch_overhead=2 * cpu.spec.workgroup_dispatch_overhead,
+        )
+        slower = CostModel(
+            CpuDevice(
+                spec,
+                CpuMemoryModel(spec, cpu.memory.levels, cpu.memory.dram),
+                quiet_config,
+            )
+        )
+        assert slower._device_key != first._device_key
+        slower_cycles = slower.workgroup_cycles(variant, args, units)
+        assert cost_memo_stats() == {"entries": 2, "hits": 1, "misses": 2}
+        assert np.array_equal(
+            slower_cycles, slower._workgroup_cycles_uncached(variant, args, units)
+        )
+        assert not np.array_equal(slower_cycles, cycles)
 
     def test_buffer_shape_is_part_of_the_key(self, quiet_config):
         model = CostModel(make_cpu(quiet_config))

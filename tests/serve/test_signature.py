@@ -1,17 +1,23 @@
 """Workload-signature derivation: input-aware keys with stable buckets."""
 
+import dataclasses
+import gc
+import sys
+import threading
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ReproConfig
 from repro.kernel.buffers import Buffer
+from repro.serve import signature as signature_mod
 from repro.serve.signature import (
     WorkloadSignature,
     derive_signature,
     log2_bucket,
 )
-from repro.workloads.matrices import diagonal_csr, random_csr
+from repro.workloads.matrices import CsrMatrix, diagonal_csr, random_csr
 
 
 class FakeCSR:
@@ -183,3 +189,159 @@ class TestExplicitSignature:
         )
         assert sig.key == "k|cpu|a=1"
         assert str(sig) == sig.key
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenShape:
+    """A frozen record with the CSR surface; frozen only when its
+    ``row_nnz`` array is."""
+
+    rows: int
+    cols: int
+    nnz: int
+    row_nnz: np.ndarray
+
+
+def cached_keys(name):
+    """Cache keys of argument ``name`` (keys are ``(name, id)``)."""
+    return [key for key in signature_mod._SPARSE_FEATURES if key[0] == name]
+
+
+class TestFrozenInputCache:
+    """Sparse features of a frozen input are derived once, and only for
+    an input whose features cannot change."""
+
+    def test_cached_features_equal_uncached(self):
+        config = ReproConfig()
+        for matrix in (
+            random_csr(2048, 2048, 0.01, config),
+            diagonal_csr(1024),
+            CsrMatrix(
+                np.array([0, 0, 3, 3]),
+                np.array([0, 1, 2]),
+                np.ones(3, dtype=np.float32),
+                (3, 3),
+            ),
+        ):
+            args = {"matrix": matrix}
+            uncached = signature_mod._sparse_features("matrix", matrix)
+            first = derive_signature("spmv", "cpu", args, 512)
+            assert signature_mod._SPARSE_FEATURES[("matrix", id(matrix))][1] == (
+                uncached
+            )
+            again = derive_signature("spmv", "cpu", args, 512)
+            assert again == first
+            assert set(uncached) <= set(first.features)
+
+    def test_features_are_derived_once_per_input(self, monkeypatch):
+        matrix = diagonal_csr(128)
+        derived = []
+        uncached = signature_mod._sparse_features
+
+        def counting(name, value):
+            derived.append(name)
+            return uncached(name, value)
+
+        monkeypatch.setattr(signature_mod, "_sparse_features", counting)
+        signatures = {
+            derive_signature("spmv", "cpu", {"matrix": matrix}, 64)
+            for _ in range(3)
+        }
+        assert len(signatures) == 1
+        assert derived == ["matrix"]
+
+    def test_one_input_under_two_names_gets_two_entries(self):
+        matrix = diagonal_csr(256)
+        derive_signature("spmv", "cpu", {"a": matrix, "b": matrix}, 64)
+        assert cached_keys("a") == [("a", id(matrix))]
+        assert cached_keys("b") == [("b", id(matrix))]
+
+    def test_dead_input_entry_is_gone(self):
+        matrix = diagonal_csr(512)
+        key = ("dying", id(matrix))
+        derive_signature("spmv", "cpu", {"dying": matrix}, 64)
+        assert key in signature_mod._SPARSE_FEATURES
+        del matrix
+        gc.collect()
+        assert key not in signature_mod._SPARSE_FEATURES
+        assert cached_keys("dying") == []
+
+    def test_an_entry_of_another_object_is_not_served(self):
+        """The weak reference must point at the input itself: an entry
+        left at a reused ``id`` serves no lookup."""
+        matrix = diagonal_csr(64)
+        other = random_csr(64, 64, 0.2, ReproConfig())
+        key = ("m", id(other))
+        signature_mod._SPARSE_FEATURES[key] = (
+            signature_mod.weakref.ref(matrix),
+            (("m.stale", "1"),),
+        )
+        try:
+            sig = derive_signature("spmv", "cpu", {"m": other}, 64)
+        finally:
+            signature_mod._SPARSE_FEATURES.pop(key, None)
+        assert "m.stale" not in dict(sig.features)
+        assert set(signature_mod._sparse_features("m", other)) <= set(sig.features)
+
+    def test_mutable_records_are_never_cached(self):
+        writable = FrozenShape(8, 8, 16, np.full(8, 2.0))
+        duck = FakeCSR(8, 8, 16, [2.0] * 8)
+        for name, value in (("writable", writable), ("duck", duck)):
+            before = derive_signature("spmv", "cpu", {name: value}, 64)
+            assert cached_keys(name) == []
+            # Their features can change behind the same identity, and
+            # the signature follows.
+            value.row_nnz[:] = [16.0, 0.0] * 4
+            after = derive_signature("spmv", "cpu", {name: value}, 64)
+            assert cached_keys(name) == []
+            assert dict(after.features)[f"{name}.cv"] != dict(
+                before.features
+            )[f"{name}.cv"]
+
+    def test_a_frozen_record_is_cached(self):
+        row_nnz = np.full(8, 2.0)
+        row_nnz.setflags(write=False)
+        frozen = FrozenShape(8, 8, 16, row_nnz)
+        derive_signature("spmv", "cpu", {"frozen": frozen}, 64)
+        assert cached_keys("frozen") == [("frozen", id(frozen))]
+
+    def test_threads_churning_inputs_leave_only_live_exact_entries(self):
+        """Eight threads derive, drop and re-derive matrices at once (more
+        threads than cores, with a short switch interval): every
+        signature matches the uncached features, and once the inputs are
+        gone no entry is left."""
+        kept = [random_csr(128, 128, 0.05, ReproConfig(seed=seed)) for seed in range(4)]
+        errors = []
+
+        def churn(worker):
+            try:
+                for round_ in range(40):
+                    fresh = diagonal_csr(64 + (worker + round_) % 5)
+                    for name, matrix in (("churn", fresh), ("kept", kept[round_ % 4])):
+                        sig = derive_signature("spmv", "cpu", {name: matrix}, 64)
+                        expected = signature_mod._sparse_features(name, matrix)
+                        if not set(expected) <= set(sig.features):
+                            errors.append((worker, round_, name))
+                    del fresh
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        gc.collect()
+        assert cached_keys("churn") == []
+        assert sorted(cached_keys("kept")) == sorted(
+            ("kept", id(matrix)) for matrix in kept
+        )

@@ -16,6 +16,12 @@ reduceat indices were clipped into that segment).  The reference
 therefore runs them on the input cut after the range's last non-empty
 segment, where they are right, and expects zeros for the trailing empty
 segments.
+
+kmeans has two references: the body with full-size temporaries, and
+the row-wise ``argmin`` body that came after it.  Ranges from
+``kmeans.COLUMN_PASS_POINTS`` points on find the nearest centroid in one
+pass per cluster, so they are also compared on inputs made of ties,
+zeros, NaN and infinities, where ``argmin``'s first-index rule decides.
 """
 
 import os
@@ -103,6 +109,23 @@ def old_kmeans(args, unit_start: int, unit_end: int) -> None:
     c_norm = np.sum(centroids * centroids, axis=1)
     distances = c_norm[None, :] - 2.0 * cross
     assign[p0:p1] = np.argmin(distances, axis=1).astype(np.int32)
+
+
+def argmin_kmeans(args, unit_start: int, unit_end: int) -> None:
+    """Assign each point in the unit range to its nearest centroid."""
+    features = args["features"].data
+    centroids = args["centroids"].data
+    assign = args["assign"].data
+    p0 = unit_start * kmeans.POINTS_PER_UNIT
+    p1 = min(unit_end * kmeans.POINTS_PER_UNIT, features.shape[0])
+    if p0 >= p1:
+        return
+    # Squared euclidean distances via the expansion trick, computed in
+    # the matmul's own result: |c|^2 - 2 x.c.
+    distances = features[p0:p1] @ centroids.T
+    distances *= 2.0
+    np.subtract(np.sum(centroids * centroids, axis=1), distances, out=distances)
+    assign[p0:p1] = np.argmin(distances, axis=1)
 
 
 def old_spmv_csr(args, unit_start: int, unit_end: int) -> None:
@@ -350,6 +373,69 @@ def kmeans_args():
     return kmeans.make_args_factory(KMEANS_POINTS, ReproConfig())
 
 
+#: Units of the shortest range the executor assigns in cluster columns.
+CROSSOVER_UNITS = -(-kmeans.COLUMN_PASS_POINTS // kmeans.POINTS_PER_UNIT)
+
+#: Distance entries that ``argmin`` treats specially: equal values, both
+#: zeros, NaN (the first one wins) and both infinities.
+SPECIAL_DISTANCES = (0.0, -0.0, 1.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Points and centroids that make tied, zero, NaN and infinite
+    distances, and ranges on both sides of the column-pass crossover.
+
+    Small integer coordinates make exact ties common; duplicated
+    centroids tie every point; a NaN or infinite coordinate makes a NaN
+    or infinite distance for its point (or, in a centroid, its whole
+    cluster).  The last unit is sometimes partial, so a range of
+    ``CROSSOVER_UNITS`` units can fall just short of the crossover.
+    """
+    rng = rng_of(draw)
+    dtype = draw(st.sampled_from([np.float32, np.float32, np.float64]))
+    clusters = draw(st.sampled_from([1, 2, 3, kmeans.CLUSTERS, 11]))
+    dims = draw(st.sampled_from([1, 3, kmeans.FEATURES]))
+    length = draw(
+        st.sampled_from(
+            [1, 7, CROSSOVER_UNITS - 1, CROSSOVER_UNITS, CROSSOVER_UNITS + 1]
+        )
+        | st.integers(min_value=1, max_value=3 * CROSSOVER_UNITS)
+    )
+    start = draw(st.integers(min_value=0, max_value=3))
+    points = (start + length) * kmeans.POINTS_PER_UNIT - draw(
+        st.sampled_from([0, 0, 1, kmeans.POINTS_PER_UNIT - 1])
+    )
+    if draw(st.booleans()):
+        features = rng.integers(-2, 3, size=(points, dims)).astype(dtype)
+        centroids = rng.integers(-2, 3, size=(clusters, dims)).astype(dtype)
+    else:
+        features = rng.standard_normal((points, dims)).astype(dtype)
+        centroids = rng.standard_normal((clusters, dims)).astype(dtype)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        centroids[rng.integers(clusters)] = centroids[rng.integers(clusters)]
+    share = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    for row in np.flatnonzero(rng.uniform(size=points) < share):
+        value = draw(st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
+        if draw(st.booleans()):
+            features[row] = value
+        else:
+            features[row, rng.integers(dims)] = value
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        centroids[rng.integers(clusters), rng.integers(dims)] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+
+    def make_args():
+        return {
+            "features": Buffer("features", features, writable=False),
+            "centroids": Buffer("centroids", centroids, writable=False),
+            "assign": Buffer("assign", np.full(points, -1, dtype=np.int32)),
+        }
+
+    return make_args, start, start + length
+
+
 class TestKmeans:
     @seed(CHAOS_SEED)
     @settings(max_examples=60, deadline=None)
@@ -358,6 +444,57 @@ class TestKmeans:
         units = kmeans.workload_units(KMEANS_POINTS)
         start, end = unit_range(data.draw, units, max_len=4096)
         assert_same_outputs(kmeans._executor, old_kmeans, kmeans_args, start, end)
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=kmeans_inputs())
+    def test_matches_the_row_argmin_body(self, inputs):
+        make_args, start, end = inputs
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_same_outputs(
+                kmeans._executor, argmin_kmeans, make_args, start, end
+            )
+
+    @pytest.mark.parametrize(
+        "points", [kmeans.COLUMN_PASS_POINTS - 1, kmeans.COLUMN_PASS_POINTS]
+    )
+    def test_both_sides_of_the_crossover_run(self, points, monkeypatch):
+        """Guard against vacuity: one point fewer keeps ``argmin``."""
+        shapes = []
+
+        def spy(columns, out):
+            shapes.append(columns.shape)
+            out[...] = np.argmin(columns, axis=0)
+
+        monkeypatch.setattr(kmeans, "nearest_columns", spy)
+        make_args = kmeans.make_args_factory(points, ReproConfig())
+        kmeans._executor(make_args(), 0, kmeans.workload_units(points))
+        columns = points >= kmeans.COLUMN_PASS_POINTS
+        assert shapes == ([(kmeans.CLUSTERS, points)] if columns else [])
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        columns=st.integers(min_value=1, max_value=9).flatmap(
+            lambda clusters: st.lists(
+                st.lists(
+                    st.sampled_from(SPECIAL_DISTANCES),
+                    min_size=clusters,
+                    max_size=clusters,
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_nearest_columns_is_the_first_argmin(self, columns, dtype):
+        """Ties, ``-0.0 == 0.0``, NaN and infinite rows, bit for bit."""
+        columns = np.ascontiguousarray(np.array(columns, dtype=dtype).T)
+        out = np.full(columns.shape[1], -1, dtype=np.int32)
+        kmeans.nearest_columns(columns, out)
+        expected = np.argmin(columns, axis=0).astype(np.int32)
+        assert out.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------
