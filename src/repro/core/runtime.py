@@ -60,7 +60,7 @@ from ..config import ReproConfig
 from ..device.base import Device
 from ..device.cost import invalidate_cost_memo, ir_hash
 from ..device.engine import ExecutionEngine
-from ..drift import DriftConfig, DriftSignal, ReselectionController
+from ..drift import DriftConfig, ReselectionController
 from ..errors import (
     AnalysisError,
     LaunchAbortedError,
@@ -221,35 +221,6 @@ class DySelRuntime:
         else:
             self.drift = ReselectionController(config)
         return self.drift
-
-    def _observe_drift(
-        self, kernel_sig: str, result: LaunchResult, workload_units: int
-    ) -> None:
-        """Feed one profiling-off launch into the drift loop (if armed)."""
-        if (
-            self.drift is None
-            or workload_units <= 0
-            or result.elapsed_cycles <= 0.0
-        ):
-            return
-        cycles_per_unit = result.elapsed_cycles / workload_units
-        signal = self.drift.observe(
-            kernel_sig, kernel_sig, result.selected, cycles_per_unit
-        )
-        if signal is DriftSignal.NONE or not self.tracer.enabled:
-            return
-        kind = (
-            EventKind.DRIFT_SUSPECT
-            if signal is DriftSignal.SUSPECT
-            else EventKind.DRIFT_CONFIRMED
-        )
-        self.tracer.instant(
-            kind,
-            kernel_sig,
-            self.engine.now,
-            variant=result.selected,
-            cycles_per_unit=cycles_per_unit,
-        )
 
     def add_invalidation_hook(
         self, hook: Callable[[str, str], None]
@@ -496,16 +467,13 @@ class DySelRuntime:
                     pool, launch, plan, context
                 )
             if claimed and result.profiled:
-                episode = self.drift.complete(kernel_sig, result.selected)
-                if episode is not None and tracer.enabled:
-                    tracer.instant(
-                        EventKind.RESELECTION,
-                        kernel_sig,
-                        self.engine.now,
-                        stale_variant=episode.stale_variant,
-                        new_variant=result.selected,
-                        reselected=episode.reselected,
-                    )
+                self.drift.complete_launch(
+                    kernel_sig,
+                    kernel_sig,
+                    result.selected,
+                    tracer,
+                    self.engine.now,
+                )
         if tracer.enabled:
             tracer.instant(
                 EventKind.LAUNCH_END,
@@ -521,8 +489,16 @@ class DySelRuntime:
                 eager_units=result.eager_units,
                 reason=result.reason,
             )
-        if not plan.profile:
-            self._observe_drift(kernel_sig, result, workload_units)
+        if not plan.profile and self.drift is not None:
+            self.drift.observe_launch(
+                kernel_sig,
+                kernel_sig,
+                result.selected,
+                result.elapsed_cycles,
+                workload_units,
+                tracer,
+                self.engine.now,
+            )
         return result
 
     def _launch_profiled(

@@ -532,7 +532,8 @@ class CostModel:
         The size and space of each buffer an access or working-set hint
         names stand for the buffer: with the IR's placements (part of
         its hash) they fix every ``placed_space`` and byte size pricing
-        reads.
+        reads.  The space enters as its string value, which hashes in C
+        (an ``Enum`` member hashes through a Python-level ``__hash__``).
         """
         if units.start % variant.wa_factor != 0:
             return None, ()
@@ -541,7 +542,7 @@ class CostModel:
         for name in facts.sized:
             value = args.get(name)
             sizes.append(
-                (value.data.nbytes, value.space)
+                (value.data.nbytes, value.space.value)
                 if isinstance(value, Buffer)
                 else None
             )

@@ -23,6 +23,12 @@ Launches hold a claim with :meth:`ReselectionController.claiming`: a
 claimed re-profile that does not complete its episode (fault-aborted or
 raising launch, demoted plan) hands the claim back on exit, so the next
 launch retries; the episode stays open until some re-profile succeeds.
+
+Both drift loops — the runtime's per kernel and the serving layer's per
+workload class — feed launches through
+:meth:`ReselectionController.observe_launch` and close episodes through
+:meth:`ReselectionController.complete_launch`, which also record the
+``DRIFT_SUSPECT``/``DRIFT_CONFIRMED`` and ``RESELECTION`` trace instants.
 """
 
 from __future__ import annotations
@@ -33,11 +39,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import DriftError
+from ..obs.events import EventKind
+from ..obs.tracer import Tracer
 from .detector import DriftConfig, DriftSignal
 from .monitor import DriftMonitor
 
 #: Completed episodes kept for introspection/persistence (per controller).
 MAX_EPISODE_HISTORY = 256
+
+#: The trace instant each non-quiet drift signal records.
+SIGNAL_EVENTS = {
+    DriftSignal.SUSPECT: EventKind.DRIFT_SUSPECT,
+    DriftSignal.CONFIRMED: EventKind.DRIFT_CONFIRMED,
+}
 
 
 @dataclass
@@ -134,6 +148,40 @@ class ReselectionController:
                 self.decay_hook(key)
         return signal
 
+    def observe_launch(
+        self,
+        key: str,
+        kernel: str,
+        variant: str,
+        elapsed_cycles: float,
+        units: int,
+        tracer: Tracer,
+        at: float,
+        **labels: object,
+    ) -> DriftSignal:
+        """Feed one profiling-off launch that replayed ``variant``.
+
+        A launch with no units or no elapsed cycles measures nothing and
+        is skipped.  Otherwise its cycles per unit go to :meth:`observe`,
+        and a suspect or confirmed signal records one trace instant on
+        ``tracer`` at ``at``, named ``kernel``: ``labels`` first, then
+        the variant and the measurement.
+        """
+        if units <= 0 or elapsed_cycles <= 0.0:
+            return DriftSignal.NONE
+        cycles_per_unit = elapsed_cycles / units
+        signal = self.observe(key, kernel, variant, cycles_per_unit)
+        if signal is not DriftSignal.NONE and tracer.enabled:
+            tracer.instant(
+                SIGNAL_EVENTS[signal],
+                kernel,
+                at,
+                **labels,
+                variant=variant,
+                cycles_per_unit=cycles_per_unit,
+            )
+        return signal
+
     # ------------------------------------------------------------------
     # Re-profile arbitration
     # ------------------------------------------------------------------
@@ -213,6 +261,33 @@ class ReselectionController:
             del self._episodes[:-MAX_EPISODE_HISTORY]
             self.reselections += 1
         self.monitor.reset(key)
+        return episode
+
+    def complete_launch(
+        self,
+        key: str,
+        kernel: str,
+        new_variant: str,
+        tracer: Tracer,
+        at: float,
+        **labels: object,
+    ) -> Optional[DriftEpisode]:
+        """:meth:`complete`, recording a closed episode's ``RESELECTION``.
+
+        The instant lands on ``tracer`` at ``at``, named ``kernel``:
+        ``labels`` first, then the stale and the new variant.
+        """
+        episode = self.complete(key, new_variant)
+        if episode is not None and tracer.enabled:
+            tracer.instant(
+                EventKind.RESELECTION,
+                kernel,
+                at,
+                **labels,
+                stale_variant=episode.stale_variant,
+                new_variant=new_variant,
+                reselected=episode.reselected,
+            )
         return episode
 
     # ------------------------------------------------------------------

@@ -46,7 +46,17 @@ import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..analyze.dominance import cold_start_estimate, policy_from_settings
 from ..compiler.analyses.safe_point import lcm_of
@@ -62,7 +72,6 @@ from ..core.policy import (
 from ..core.runtime import DySelRuntime, LaunchResult
 from ..device.base import Device
 from ..device.stream import StreamPool
-from ..drift import DriftSignal
 from ..errors import AdmissionRejected, ServeError
 from ..faults.plan import FaultPlan
 from ..kernel.kernel import WorkRange
@@ -80,6 +89,12 @@ DEFAULT_STREAMS_PER_DEVICE = 4
 
 #: Default profile-lease steal timeout, in store-clock seconds.
 DEFAULT_LEASE_TIMEOUT = 30.0
+
+#: A served request's outcome class with every field bound except the
+#: request-level stamps (``tenant``, ``latency_cycles``,
+#: ``deadline_cycles``, ``deadline_missed``): calling it builds the
+#: outcome, once per request, with whichever stamps apply.
+_Served = Callable[..., object]
 
 
 def partition_units(
@@ -171,9 +186,14 @@ class ServeOutcome:
     lease: Optional[str]
     #: Admission sequence number (the scheduler-trace time axis).
     sequence: int
-    #: Why the request landed on this device kind (the placement-
-    #: dimension reason, e.g. ``"store-measured placement"``); empty on
-    #: single-kind fleets where there was nothing to decide.
+    #: Why the request landed on this device kind: the reason
+    #: :func:`~repro.core.policy.decide_placement` gave, with its
+    #: quarantine and pinned-kind notes.  A one-kind fleet records
+    #: ``"single eligible device kind"``; a mixed fleet records the
+    #: winner's basis (``"store-measured placement"``, ``"static
+    #: cost-bound placement"``, ``"dynamic load placement"``) or
+    #: ``"pinned device kind"``; a split part records ``"split part
+    #: i/n"``.
     placement: str = ""
     #: Tenant the request was accounted to (``"default"`` when the
     #: request carried none).
@@ -413,6 +433,22 @@ class _DeviceWorker:
         """
         with self._load_lock:
             return self.runtime.engine.now + self._pending_cycles
+
+
+class _Bid(NamedTuple):
+    """One device kind's bid for a request, before its load is read."""
+
+    kind: str
+    #: The kind's workers that have the kernel registered.
+    workers: List[_DeviceWorker]
+    signature: WorkloadSignature
+    #: Store-measured cycles of the request (warm class), else ``None``.
+    measured: Optional[float]
+    #: Static cost-bound prior of the request (cold class), else ``None``.
+    static: Optional[float]
+    #: Whether the kind's whole pool is quarantined (read only when more
+    #: than one kind bids).
+    quarantined: bool
 
 
 class LaunchScheduler:
@@ -742,23 +778,23 @@ class LaunchScheduler:
                 )
         try:
             if self._should_split(request):
-                outcome = self.launch_split(request)
+                served = self._split(request)
             else:
-                outcome = self._serve_whole(request, enqueue=True)
+                served = self._serve_whole(request, enqueue=True)
         finally:
             if admitted:
                 self.admission.release(tenant)
-        return self._finalize(request, outcome, tenant, deadline, enq_cycles)
+        return self._finalize(request, served, tenant, deadline, enq_cycles)
 
     def _finalize(
         self,
         request: ServeRequest,
-        outcome,
+        served: _Served,
         tenant: str,
         deadline: Optional[float],
         enq_cycles: float,
     ):
-        """Stamp latency and deadline accounting onto a served outcome."""
+        """Build the served outcome with its latency and deadline stamps."""
         latency = max(0.0, self._fleet_cycles() - enq_cycles)
         missed = deadline is not None and latency > deadline
         with self._stats_lock:
@@ -777,8 +813,7 @@ class LaunchScheduler:
                 deadline_cycles=deadline,
                 latency_cycles=latency,
             )
-        return replace(
-            outcome,
+        return served(
             tenant=tenant,
             latency_cycles=latency,
             deadline_cycles=deadline,
@@ -795,70 +830,69 @@ class LaunchScheduler:
             and len(self._workers) > 1
         )
 
-    def _placement_candidates(
-        self, request: ServeRequest
-    ) -> Tuple[
-        List[PlacementCandidate],
-        Dict[str, WorkloadSignature],
-        Dict[str, List[_DeviceWorker]],
-        Dict[str, Optional[float]],
-        Dict[str, Optional[float]],
-    ]:
-        """Per-device-kind bids for one request.
+    def _placement_bids(self, request: ServeRequest) -> List[_Bid]:
+        """Per-device-kind bids for one request, in fleet kind order.
 
         For each kind that has the kernel registered: the workload-class
         signature (kinds cost independently — the kind is part of the
         key), the store-measured cost when the class is warm there, the
-        static cost-bound prior, the least-loaded same-kind worker's
-        projected clock, and whether the kind's whole pool is
-        quarantined.  Raises when no kind has the kernel.
+        static cost-bound prior when it is cold (a measured cost wins
+        wherever both could apply: :meth:`_DeviceWorker.estimate_cost`,
+        ``decide_placement`` and :meth:`launch_split`), and — only when
+        more than one kind bids — whether the kind's whole pool is
+        quarantined.  A lone kind's flag could not decide anything:
+        :meth:`_dispatch` clears it and :meth:`launch_split` ignores it,
+        and the runtime still bars quarantined variants on every launch.
+        Loads are read by the caller.  Raises when no kind has the
+        kernel.
         """
-        units = request.workload_units
-        candidates: List[PlacementCandidate] = []
-        signatures: Dict[str, WorkloadSignature] = {}
-        kind_workers: Dict[str, List[_DeviceWorker]] = {}
-        costs: Dict[str, Optional[float]] = {}
-        statics: Dict[str, Optional[float]] = {}
+        kinds = []
         for kind in self._kinds:
             workers = [
                 w
                 for w in self._kind_workers[kind]
                 if request.kernel in w.runtime.registry
             ]
-            if not workers:
-                continue
-            kind_workers[kind] = workers
-            sig = request.signature or derive_signature(
-                request.kernel, kind, request.args, units
-            )
-            signatures[kind] = sig
-            entry = self.store.peek(sig.key)
-            costs[kind] = (
-                entry.cycles_per_unit * units if entry is not None else None
-            )
-            unit_cost = self._static_unit_cost(request.kernel, kind)
-            statics[kind] = (
-                unit_cost * units if unit_cost is not None else None
-            )
-            pool = workers[0].runtime.registry.pool(request.kernel)
-            barred = self.store.quarantine.quarantined(pool.name)
-            candidates.append(
-                PlacementCandidate(
-                    device_kind=kind,
-                    load_cycles=min(w.projected_clock() for w in workers),
-                    measured_cycles=costs[kind],
-                    static_cycles=statics[kind],
-                    quarantined=all(
-                        name in barred for name in pool.variant_names
-                    ),
-                )
-            )
-        if not candidates:
+            if workers:
+                kinds.append((kind, workers))
+        if not kinds:
             raise ServeError(
                 f"kernel {request.kernel!r} is not registered on any "
                 f"device (fleet kinds: {self._kinds})"
             )
-        return candidates, signatures, kind_workers, costs, statics
+        contested = len(kinds) > 1
+        units = request.workload_units
+        bids: List[_Bid] = []
+        for kind, workers in kinds:
+            signature = request.signature or derive_signature(
+                request.kernel, kind, request.args, units
+            )
+            entry = self.store.peek(signature.key)
+            measured = static = None
+            if entry is not None:
+                measured = entry.cycles_per_unit * units
+            else:
+                unit_cost = self._static_unit_cost(request.kernel, kind)
+                if unit_cost is not None:
+                    static = unit_cost * units
+            bids.append(
+                _Bid(
+                    kind,
+                    workers,
+                    signature,
+                    measured,
+                    static,
+                    contested
+                    and self._pool_quarantined(request.kernel, workers[0]),
+                )
+            )
+        return bids
+
+    def _pool_quarantined(self, kernel: str, worker: _DeviceWorker) -> bool:
+        """Whether every variant of the worker's ``kernel`` pool is barred."""
+        pool = worker.runtime.registry.pool(kernel)
+        barred = self.store.quarantine.quarantined(pool.name)
+        return all(name in barred for name in pool.variant_names)
 
     def _dispatch(
         self, request: ServeRequest, seq: int
@@ -870,9 +904,11 @@ class LaunchScheduler:
         scheduler's placement policy (store-measured EWMA estimates once
         the class is warm, static cost-bound priors cold, projected load
         always).  Within the chosen kind the earliest projected finish
-        wins, and the winner's estimate is reserved on its pending load
-        under the dispatch lock, so concurrent clients don't pile onto
-        the same momentarily-idle device.
+        wins, and the winner's estimate is reserved on its pending load.
+        Both choices happen under the dispatch lock, so concurrent
+        clients don't pile onto the same momentarily-idle device; each
+        worker's projected clock is read once there and serves both its
+        kind's load and its own rank.
 
         When every kind's pool is fully quarantined the quarantine flags
         are ignored here: dispatch still picks a device and the runtime
@@ -880,30 +916,47 @@ class LaunchScheduler:
         quarantined-variant detail), exactly as before placement
         existed.
         """
-        candidates, signatures, kind_workers, costs, statics = (
-            self._placement_candidates(request)
-        )
-        if all(c.quarantined for c in candidates):
-            candidates = [
-                replace(c, quarantined=False) for c in candidates
-            ]
-        decision = decide_placement(
-            request.kernel,
-            candidates,
-            policy=self.placement_policy,
-            pinned_kind=request.device_kind,
-        )
-        kind = decision.device_kind
+        bids = self._placement_bids(request)
+        cleared = all(bid.quarantined for bid in bids)
         with self._dispatch_lock:
-            worker = min(
-                kind_workers[kind],
-                key=lambda w: (
-                    w.projected_clock()
-                    + w.estimate_cost(costs[kind], statics[kind]),
-                    w.streams.in_flight,
-                ),
+            loads = [
+                [w.projected_clock() for w in bid.workers] for bid in bids
+            ]
+            candidates = [
+                PlacementCandidate(
+                    device_kind=bid.kind,
+                    load_cycles=min(load),
+                    measured_cycles=bid.measured,
+                    static_cycles=bid.static,
+                    quarantined=bid.quarantined and not cleared,
+                )
+                for bid, load in zip(bids, loads)
+            ]
+            decision = decide_placement(
+                request.kernel,
+                candidates,
+                policy=self.placement_policy,
+                pinned_kind=request.device_kind,
             )
-            estimate = worker.estimate_cost(costs[kind], statics[kind])
+            for bid, load in zip(bids, loads):
+                if bid.kind == decision.device_kind:
+                    break
+            # Earliest projected finish; fewer leased streams break a tie
+            # (read only then).
+            best = None
+            for w, clock in zip(bid.workers, load):
+                guess = w.estimate_cost(bid.measured, bid.static)
+                finish = clock + guess
+                if (
+                    best is None
+                    or finish < best[0]
+                    or (
+                        finish == best[0]
+                        and w.streams.in_flight < best[1].streams.in_flight
+                    )
+                ):
+                    best = (finish, w, guess)
+            _, worker, estimate = best
             worker.commit(estimate)
         if self.tracer.enabled and (
             len(candidates) > 1 or request.device_kind is not None
@@ -913,13 +966,13 @@ class LaunchScheduler:
                 request.kernel,
                 float(seq),
                 device=worker.name,
-                device_kind=kind,
+                device_kind=bid.kind,
                 reason=decision.reason,
                 projected={
                     k: round(v, 3) for k, v in decision.projected.items()
                 },
             )
-        return worker, signatures[kind], estimate, decision
+        return worker, bid.signature, estimate, decision
 
     # ------------------------------------------------------------------
     # Work splitting
@@ -964,6 +1017,12 @@ class LaunchScheduler:
         :meth:`launch`-style single-device serve, still wrapped in a
         :class:`SplitOutcome`.
         """
+        return self._split(request, parts)()
+
+    def _split(
+        self, request: ServeRequest, parts: Optional[int] = None
+    ) -> _Served:
+        """Serve :meth:`launch_split`; the outcome waits for its stamps."""
         seq = next(self._seq)
         if self.tracer.enabled:
             self.tracer.instant(
@@ -974,21 +1033,18 @@ class LaunchScheduler:
                 split_requested=parts or request.split,
             )
         whole = replace(request, split=None)
-        candidates, _, kind_workers, costs, statics = (
-            self._placement_candidates(request)
-        )
+        bids = {bid.kind: bid for bid in self._placement_bids(request)}
         eligible_kinds = [
-            c.device_kind for c in candidates if not c.quarantined
-        ] or [c.device_kind for c in candidates]
+            kind for kind, bid in bids.items() if not bid.quarantined
+        ] or list(bids)
         if request.device_kind is not None and (
             request.device_kind in eligible_kinds
         ):
             eligible_kinds = [request.device_kind]
-        workers = [
-            w for kind in eligible_kinds for w in kind_workers[kind]
-        ]
+        workers = [w for kind in eligible_kinds for w in bids[kind].workers]
         align = self._split_alignment(
-            {k: kind_workers[k] for k in eligible_kinds}, request.kernel
+            {kind: bids[kind].workers for kind in eligible_kinds},
+            request.kernel,
         )
         units = request.workload_units
         max_parts = min(
@@ -997,10 +1053,10 @@ class LaunchScheduler:
             max(1, units // align),
         )
         if max_parts <= 1:
-            outcome = self._serve_whole(whole)
-            return SplitOutcome(
+            return partial(
+                SplitOutcome,
                 request=request,
-                parts=(outcome,),
+                parts=(self._serve_whole(whole)(),),
                 ranges=((0, units),),
                 sequence=seq,
             )
@@ -1010,8 +1066,8 @@ class LaunchScheduler:
         ]
 
         def unit_cost(worker: _DeviceWorker) -> Optional[float]:
-            kind = worker.device_kind
-            for basis in (costs[kind], statics[kind]):
+            bid = bids[worker.device_kind]
+            for basis in (bid.measured, bid.static):
                 if basis is not None and units > 0:
                     return basis / units
             return None
@@ -1068,13 +1124,14 @@ class LaunchScheduler:
                             f"split part {index + 1}/{len(assignments)}"
                         ),
                         work_range=work_range,
-                    )
+                    )()
                 )
             finally:
                 worker.streams.release(stream)
         with self._stats_lock:
             self.stats.split_launches += 1
-        return SplitOutcome(
+        return partial(
+            SplitOutcome,
             request=request,
             parts=tuple(outcomes),
             ranges=tuple((r.start, r.end) for _, r in assignments),
@@ -1083,7 +1140,7 @@ class LaunchScheduler:
 
     def _serve_whole(
         self, request: ServeRequest, enqueue: bool = False
-    ) -> ServeOutcome:
+    ) -> _Served:
         """Serve one whole request on one device.
 
         ``enqueue`` traces the ``SERVE_ENQUEUE`` instant — the plain
@@ -1128,7 +1185,7 @@ class LaunchScheduler:
         estimate,
         placement: str = "",
         work_range: Optional[WorkRange] = None,
-    ) -> ServeOutcome:
+    ) -> _Served:
         """Run an admitted request (stream leased, cost reserved).
 
         What the scheduler knows about the launch — the store's pinned
@@ -1274,7 +1331,8 @@ class LaunchScheduler:
         served_from_store = entry is not None and not drift_rearm
         self._observe_drift(key, request, result, served_from_store, seq)
         self._account(request, worker, result, served_from_store)
-        return ServeOutcome(
+        return partial(
+            ServeOutcome,
             request=request,
             device=worker.name,
             workload_class=key,
@@ -1422,32 +1480,17 @@ class LaunchScheduler:
         profiling overhead into the measurement and are skipped.
         """
         drift = self.store.drift
-        if (
-            drift is None
-            or not served_from_store
-            or result.profiled
-            or request.workload_units <= 0
-            or result.elapsed_cycles <= 0.0
-        ):
+        if drift is None or not served_from_store or result.profiled:
             return
-        cycles_per_unit = result.elapsed_cycles / request.workload_units
-        signal = drift.observe(
-            key, request.kernel, result.selected, cycles_per_unit
-        )
-        if signal is DriftSignal.NONE or not self.tracer.enabled:
-            return
-        kind = (
-            EventKind.DRIFT_SUSPECT
-            if signal is DriftSignal.SUSPECT
-            else EventKind.DRIFT_CONFIRMED
-        )
-        self.tracer.instant(
-            kind,
+        drift.observe_launch(
+            key,
             request.kernel,
+            result.selected,
+            result.elapsed_cycles,
+            request.workload_units,
+            self.tracer,
             float(seq),
             workload_class=key,
-            variant=result.selected,
-            cycles_per_unit=cycles_per_unit,
         )
 
     def _close_drift_episode(
@@ -1474,23 +1517,20 @@ class LaunchScheduler:
         drift = self.store.drift
         if drift is None:
             return
-        episode = drift.complete(key, result.selected)
+        episode = drift.complete_launch(
+            key,
+            request.kernel,
+            result.selected,
+            self.tracer,
+            float(seq),
+            workload_class=key,
+        )
         if (
             episode is not None
             and stale_predicted
             and self.store.predictor is not None
         ):
             self.store.predictor.correct(key, result.selected)
-        if episode is not None and self.tracer.enabled:
-            self.tracer.instant(
-                EventKind.RESELECTION,
-                request.kernel,
-                float(seq),
-                workload_class=key,
-                stale_variant=episode.stale_variant,
-                new_variant=result.selected,
-                reselected=episode.reselected,
-            )
 
     def _account(self, request, worker, result, store_hit: bool) -> None:
         """Fold one served request into the aggregate counters."""

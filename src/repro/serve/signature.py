@@ -10,11 +10,19 @@ noise-level input variation maps to the same key while regime changes
 (cache-resident vs DRAM-resident, regular vs irregular) map to different
 keys.
 
-Feature extraction is duck-typed, not imported from :mod:`repro.workloads`
-— anything exposing the CSR-matrix surface (``rows``/``cols``/``nnz``/
-``row_nnz``) contributes sparsity features, anything exposing a buffer
-surface (``data`` ndarray) contributes footprint features — so user
-workloads outside the benchmark suite get input-aware keys for free.
+A :class:`~repro.kernel.buffers.Buffer` (the exact class) contributes
+its footprint bucket directly: a buffer is dense by construction, so it
+skips the probes below.  Every other argument is duck-typed, not
+imported from :mod:`repro.workloads` — anything exposing the CSR-matrix
+surface (``rows``/``cols``/``nnz``/``row_nnz``) contributes sparsity
+features, anything exposing a buffer surface (``data`` ndarray)
+contributes footprint features — so user workloads outside the
+benchmark suite get input-aware keys for free.  Both branches give a
+buffer the same feature.
+
+The features are sorted, so the order of the arguments does not matter.
+Derivations of one class share one signature object, and with it one
+joined key: the last 1,024 classes derived are kept.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..kernel.buffers import frozen_record
+from ..kernel.buffers import Buffer, frozen_record
 
 #: Quantization step for the row-length coefficient of variation.  One
 #: step separates "perfectly regular" (banded/diagonal, cv ~ 0) from
@@ -53,18 +62,27 @@ class WorkloadSignature:
     with equal signatures are assumed interchangeable for selection
     purposes: a variant measured as fastest for one is trusted for the
     other without re-profiling.
+
+    ``key``, the canonical string form and the persistent store's key,
+    is joined once when the signature is built.  It is kept on the
+    instance outside the fields, so equality, hashing and
+    ``dataclasses.replace`` see only ``kernel``, ``device_kind`` and
+    ``features`` (a replaced signature joins its own key).
     """
 
     kernel: str
     device_kind: str
     features: Tuple[Tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        parts = [self.kernel, self.device_kind]
+        parts.extend(f"{name}={value}" for name, value in self.features)
+        object.__setattr__(self, "_key", "|".join(parts))
+
     @property
     def key(self) -> str:
         """Canonical string form, used as the persistent store's key."""
-        parts = [self.kernel, self.device_kind]
-        parts.extend(f"{name}={value}" for name, value in self.features)
-        return "|".join(parts)
+        return self._key
 
     def __str__(self) -> str:
         return self.key
@@ -164,10 +182,14 @@ def _remember(
     )
 
 
-def _buffer_features(name: str, value: object) -> Tuple[Tuple[str, str], ...]:
-    """Footprint bucket of one buffer-shaped argument."""
-    data = np.asarray(value.data)  # type: ignore[attr-defined]
-    return ((f"{name}.bytes^2", str(log2_bucket(float(data.nbytes)))),)
+@lru_cache(maxsize=1024)
+def _footprint(name: str, nbytes: int) -> Tuple[str, str]:
+    """Footprint bucket of a buffer-shaped argument of ``nbytes`` bytes.
+
+    Requests bind the same few (name, size) pairs again and again, so
+    the bucket is kept rather than re-derived.
+    """
+    return (f"{name}.bytes^2", str(log2_bucket(float(nbytes))))
 
 
 def _is_sparse_like(value: object) -> bool:
@@ -183,6 +205,14 @@ def _is_buffer_like(value: object) -> bool:
     return data is not None and hasattr(data, "nbytes")
 
 
+@lru_cache(maxsize=1024)
+def _signature(
+    kernel: str, device_kind: str, features: Tuple[Tuple[str, str], ...]
+) -> WorkloadSignature:
+    """The signature of one class, shared by every derivation of it."""
+    return WorkloadSignature(kernel, device_kind, features)
+
+
 def derive_signature(
     kernel: str,
     device_kind: str,
@@ -193,12 +223,16 @@ def derive_signature(
 
     The units bucket always contributes (size regime); each argument
     contributes sparsity features (CSR-shaped), a footprint bucket
-    (buffer-shaped), or nothing (scalars and opaque objects).  Sparse
-    arguments suppress their redundant footprint feature.
+    (a :class:`~repro.kernel.buffers.Buffer`, or buffer-shaped), or
+    nothing (scalars and opaque objects).  Sparse arguments suppress
+    their redundant footprint feature.  A class derived before returns
+    the signature it got then.
     """
     features = [("units^2", str(log2_bucket(workload_units)))]
-    for name in sorted(args):
-        value = args[name]
+    for name, value in args.items():
+        if type(value) is Buffer:
+            features.append(_footprint(name, value.data.nbytes))
+            continue
         sparse = _remembered(name, value)
         if sparse is None and _is_sparse_like(value):
             sparse = _sparse_features(name, value)
@@ -207,9 +241,7 @@ def derive_signature(
         if sparse is not None:
             features.extend(sparse)
         elif _is_buffer_like(value):
-            features.extend(_buffer_features(name, value))
-    return WorkloadSignature(
-        kernel=kernel,
-        device_kind=device_kind,
-        features=tuple(sorted(features)),
-    )
+            features.append(
+                _footprint(name, np.asarray(value.data).nbytes)  # type: ignore[attr-defined]
+            )
+    return _signature(kernel, device_kind, tuple(sorted(features)))

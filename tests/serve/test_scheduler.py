@@ -313,6 +313,19 @@ class TestFleet:
         with pytest.raises(ServeError):
             scheduler.serve_all([], clients=0)
 
+    @pytest.mark.parametrize("held", [None, 0, 1])
+    def test_equal_finishes_go_to_fewer_leased_streams(
+        self, fast_slow_pool, config, held
+    ):
+        """An idle fleet projects equal finishes on every device; the
+        device with fewer leased streams wins, else the first."""
+        scheduler = make_scheduler(config, fast_slow_pool, devices=2)
+        if held is not None:
+            scheduler._workers[held].streams.acquire()
+        (outcome,) = scheduler.serve_all(make_batch(config, 1), clients=1)
+        expected = {None: "cpu0", 0: "cpu1", 1: "cpu0"}[held]
+        assert outcome.device == expected
+
 
 class TestHarnessEntryPoint:
     def test_run_served_validates_and_returns_scheduler(

@@ -2,15 +2,17 @@
 
 import dataclasses
 import gc
+import os
+import pickle
 import sys
 import threading
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.config import ReproConfig
-from repro.kernel.buffers import Buffer
+from repro.kernel.buffers import Buffer, MemorySpace
 from repro.serve import signature as signature_mod
 from repro.serve.signature import (
     WorkloadSignature,
@@ -345,3 +347,247 @@ class TestFrozenInputCache:
         assert sorted(cached_keys("kept")) == sorted(
             ("kept", id(matrix)) for matrix in kept
         )
+
+
+# ----------------------------------------------------------------------
+# The duck-typed derivation as it stood before the Buffer branch
+# ----------------------------------------------------------------------
+
+#: Replay locally with ``REPRO_CHAOS_SEED=<seed>`` (the CI flakiness job
+#: randomizes it).
+CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+
+
+def _buffer_features(name, value):
+    """Footprint bucket of one buffer-shaped argument."""
+    data = np.asarray(value.data)  # type: ignore[attr-defined]
+    return ((f"{name}.bytes^2", str(log2_bucket(float(data.nbytes)))),)
+
+
+def _is_sparse_like(value):
+    """Duck-typed CSR shape: rows/cols/nnz/row_nnz attributes."""
+    return all(
+        hasattr(value, attr) for attr in ("rows", "cols", "nnz", "row_nnz")
+    )
+
+
+def _is_buffer_like(value):
+    """Duck-typed dense buffer: a .data payload with .nbytes."""
+    data = getattr(value, "data", None)
+    return data is not None and hasattr(data, "nbytes")
+
+
+def reference_signature(kernel, device_kind, args, workload_units):
+    """Every argument duck-typed, the frozen-input cache included."""
+    _remembered = signature_mod._remembered
+    _remember = signature_mod._remember
+    _sparse_features = signature_mod._sparse_features
+    frozen_record = signature_mod.frozen_record
+    features = [("units^2", str(log2_bucket(workload_units)))]
+    for name in sorted(args):
+        value = args[name]
+        sparse = _remembered(name, value)
+        if sparse is None and _is_sparse_like(value):
+            sparse = _sparse_features(name, value)
+            if frozen_record(value):
+                _remember(name, value, sparse)
+        if sparse is not None:
+            features.extend(sparse)
+        elif _is_buffer_like(value):
+            features.extend(_buffer_features(name, value))
+    return WorkloadSignature(
+        kernel=kernel,
+        device_kind=device_kind,
+        features=tuple(sorted(features)),
+    )
+
+
+def reference_key(signature):
+    """The key joined on every read, as before it was kept."""
+    parts = [signature.kernel, signature.device_kind]
+    parts.extend(f"{name}={value}" for name, value in signature.features)
+    return "|".join(parts)
+
+
+class SubBuffer(Buffer):
+    """A Buffer subclass: served by duck typing, not the Buffer branch."""
+
+
+class BufferLike:
+    """Duck-typed dense buffer without the Buffer class."""
+
+    def __init__(self, data):
+        self.data = data
+
+
+class Opaque:
+    """An argument with neither surface."""
+
+
+DTYPES = (np.float32, np.float64, np.int32, np.int8, np.complex64, np.bool_)
+
+
+@st.composite
+def buffers(draw, cls=Buffer):
+    dtype = draw(st.sampled_from(DTYPES))
+    elements = draw(st.integers(min_value=0, max_value=1 << 13))
+    space = draw(st.sampled_from(tuple(MemorySpace)))
+    read_only = space in (MemorySpace.TEXTURE, MemorySpace.CONSTANT)
+    writable = not read_only and draw(st.booleans())
+    return cls("b", np.zeros(elements, dtype=dtype), space, writable=writable)
+
+
+@st.composite
+def csr_matrices(draw):
+    lengths = draw(st.lists(st.integers(0, 6), max_size=24))
+    cols = draw(st.integers(min_value=1, max_value=64))
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    nnz = int(indptr[-1])
+    return CsrMatrix(
+        indptr,
+        np.zeros(nnz, dtype=np.int32),
+        np.ones(nnz, dtype=np.float32),
+        (len(lengths), cols),
+    )
+
+
+@st.composite
+def shaped_records(draw, frozen):
+    row_nnz = np.asarray(
+        draw(st.lists(st.integers(0, 1 << 10), max_size=16)), dtype=float
+    )
+    if frozen:
+        row_nnz.setflags(write=False)
+        return FrozenShape(
+            draw(st.integers(0, 1 << 12)),
+            draw(st.integers(0, 1 << 12)),
+            draw(st.integers(0, 1 << 16)),
+            row_nnz,
+        )
+    return FakeCSR(
+        draw(st.integers(0, 1 << 12)),
+        draw(st.integers(0, 1 << 12)),
+        draw(st.integers(0, 1 << 16)),
+        row_nnz,
+    )
+
+
+ARGUMENTS = st.one_of(
+    buffers(),
+    buffers(SubBuffer),
+    st.integers(0, 1 << 20).map(lambda n: BufferLike(np.zeros(n, np.int8))),
+    st.just(BufferLike(None)),
+    csr_matrices(),
+    shaped_records(frozen=True),
+    shaped_records(frozen=False),
+    st.integers(),
+    st.floats(allow_nan=True),
+    st.sampled_from((None, "text", Opaque(), (1, 2))),
+)
+
+
+class TestBufferBranchEquivalence:
+    """The Buffer branch gives every argument mix the duck-typed
+    derivation's features and key."""
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        args=st.dictionaries(
+            st.sampled_from(("a", "b", "matrix", "x", "y", "z")),
+            ARGUMENTS,
+            max_size=5,
+        ),
+        units=st.integers(min_value=0, max_value=1 << 20),
+        kind=st.sampled_from(("cpu", "gpu")),
+    )
+    def test_features_and_key_match_the_duck_typed_reference(
+        self, args, units, kind
+    ):
+        derived = derive_signature("k", kind, args, units)
+        reference = reference_signature("k", kind, args, units)
+        assert derived.features == reference.features
+        assert derived == reference
+        assert derived.key == reference_key(reference)
+
+    def test_served_arguments_match_the_reference(self):
+        config = ReproConfig()
+        args = {
+            "matrix": random_csr(512, 512, 0.02, config),
+            "x": Buffer("x", np.ones(512, np.float32), writable=False),
+            "y": Buffer("y", np.zeros(512, np.float32)),
+            "alpha": 2.0,
+        }
+        derived = derive_signature("spmv", "cpu", args, 512)
+        reference = reference_signature("spmv", "cpu", args, 512)
+        assert derived == reference
+        assert derived.key == reference_key(reference)
+
+
+class TestKeptKey:
+    """The key is joined once, when a signature is built, and follows
+    its fields."""
+
+    def test_key_is_kept_on_the_instance(self):
+        sig = WorkloadSignature("k", "cpu", (("a", "1"),))
+        assert sig.key is sig.key
+        assert sig.key == reference_key(sig)
+
+    def test_replace_rejoins_the_key(self):
+        sig = WorkloadSignature("k", "cpu", (("a", "1"),))
+        assert sig.key == "k|cpu|a=1"
+        same = dataclasses.replace(sig)
+        assert same.key == sig.key and same == sig
+        for changes in (
+            {"kernel": "other"},
+            {"device_kind": "gpu"},
+            {"features": (("a", "2"), ("c", "3"))},
+        ):
+            changed = dataclasses.replace(sig, **changes)
+            assert changed.key == reference_key(changed)
+            assert changed.key != sig.key
+
+    def test_key_survives_pickling(self):
+        sig = WorkloadSignature("k", "cpu", (("a", "1"), ("b", "2")))
+        clone = pickle.loads(pickle.dumps(sig))
+        assert clone == sig and hash(clone) == hash(sig)
+        assert clone.key == sig.key == reference_key(sig)
+
+    def test_equal_signatures_built_apart_share_key_and_hash(self):
+        args = _buffer_args(4096)
+        first = derive_signature("k", "cpu", args, 64)
+        second = derive_signature("k", "cpu", _buffer_args(4096), 64)
+        explicit = WorkloadSignature("k", "cpu", first.features)
+        for other in (second, explicit):
+            assert other == first and hash(other) == hash(first)
+            assert other.key == first.key == reference_key(first)
+        assert len({first, second, explicit}) == 1
+
+    def test_derivations_of_a_class_share_one_signature(self):
+        first = derive_signature("k", "cpu", _buffer_args(4096), 64)
+        again = derive_signature("k", "cpu", _buffer_args(4096), 64)
+        other = derive_signature("k", "gpu", _buffer_args(4096), 64)
+        assert again is first
+        assert other is not first and other.key != first.key
+
+    def test_argument_order_does_not_matter(self):
+        args = _buffer_args(4096)
+        args["alpha"] = 2.0
+        flipped = dict(reversed(list(args.items())))
+        assert list(flipped) != list(args)
+        assert derive_signature("k", "cpu", flipped, 64) == derive_signature(
+            "k", "cpu", args, 64
+        )
+
+    def test_key_is_not_a_field(self):
+        sig = WorkloadSignature("k", "cpu", (("a", "1"),))
+        assert [f.name for f in dataclasses.fields(sig)] == [
+            "kernel",
+            "device_kind",
+            "features",
+        ]
+        assert dataclasses.asdict(sig) == {
+            "kernel": "k",
+            "device_kind": "cpu",
+            "features": (("a", "1"),),
+        }
