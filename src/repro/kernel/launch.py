@@ -50,9 +50,12 @@ class LaunchConfig:
         args: Mapping[str, object],
         workload_units: int,
     ) -> "LaunchConfig":
-        """Validate and build a launch configuration."""
+        """Validate and build a launch configuration.
+
+        ``args`` is copied once, by :meth:`KernelSignature.validate`.
+        """
         return cls(
-            signature=signature, args=dict(args), workload_units=workload_units
+            signature=signature, args=args, workload_units=workload_units
         )
 
     def output_buffers(self) -> Dict[str, Buffer]:

@@ -45,7 +45,12 @@ class ArgSpec:
 
 @dataclass(frozen=True)
 class KernelSignature:
-    """Named kernel contract shared by all variants in a pool."""
+    """Named kernel contract shared by all variants in a pool.
+
+    The set of declared argument names is built once, with the
+    signature, and kept on the instance outside the fields (equality,
+    hashing and ``dataclasses.replace`` see only ``name`` and ``args``).
+    """
 
     name: str
     args: Tuple[ArgSpec, ...] = field(default_factory=tuple)
@@ -60,6 +65,7 @@ class KernelSignature:
                     f"kernel {self.name!r}: duplicate argument {spec.name!r}"
                 )
             seen.add(spec.name)
+        object.__setattr__(self, "_names", frozenset(seen))
 
     @property
     def output_names(self) -> Tuple[str, ...]:
@@ -83,12 +89,13 @@ class KernelSignature:
 
         Checks that every declared argument is present, buffers are
         :class:`Buffer` instances, output buffers are writable, and no
-        undeclared arguments are passed.  Returns a plain dict copy.
+        undeclared arguments are passed.  Returns a plain dict copy, in
+        declaration order.
         """
-        unknown = set(args) - {a.name for a in self.args}
-        if unknown:
+        if not self._names.issuperset(args):
             raise SignatureError(
-                f"kernel {self.name!r}: unknown arguments {sorted(unknown)}"
+                f"kernel {self.name!r}: unknown arguments "
+                f"{sorted(set(args) - self._names)}"
             )
         validated: Dict[str, object] = {}
         for spec in self.args:

@@ -565,17 +565,6 @@ class LaunchScheduler:
         self._seq = itertools.count()
         self._stats_lock = threading.Lock()
         self._dispatch_lock = threading.Lock()
-        #: Cached static per-unit cost priors, keyed by (kernel, device
-        #: kind); ``None`` entries mean "no bounded prior" (dominance
-        #: off, unknown kernel/kind, or an unbounded interval).  Guarded
-        #: by ``_static_lock``; invalidated both by the runtime hooks
-        #: (re-registration, extension) and by :meth:`register_pool`
-        #: itself — a *first* registration fires no hook, and a ``None``
-        #: cached before it must not outlive it.
-        self._static_estimates: Dict[
-            Tuple[str, str], Optional[float]
-        ] = {}
-        self._static_lock = threading.Lock()
         for worker in self._workers:
             worker.runtime.add_invalidation_hook(self._on_invalidate)
 
@@ -593,13 +582,6 @@ class LaunchScheduler:
         variants of a kernel on the CPUs, the GPU variants on the GPUs)
         under one kernel signature name.  ``None`` (the default)
         registers on every device, preserving the homogeneous behavior.
-
-        Any cached static cost prior for the kernel is dropped here, not
-        just in the invalidation hook: the hook only fires when an
-        *existing* registration is replaced or extended, so a prior
-        (including a cached ``None`` = "no bounded prior") computed
-        before the first registration would otherwise stay stale
-        forever.
         """
         if device_kind is not None and device_kind not in self._kind_workers:
             raise ServeError(
@@ -613,15 +595,6 @@ class LaunchScheduler:
         )
         for worker in targets:
             worker.runtime.register_pool(pool)
-        self._drop_static_estimates(pool.name)
-
-    def _drop_static_estimates(self, kernel: str) -> None:
-        """Forget every cached (kernel, device-kind) cost prior."""
-        with self._static_lock:
-            for key in [
-                k for k in self._static_estimates if k[0] == kernel
-            ]:
-                del self._static_estimates[key]
 
     def _static_unit_cost(
         self, kernel: str, device_kind: str
@@ -629,8 +602,9 @@ class LaunchScheduler:
         """The kernel's static per-unit cost prior on one device kind.
 
         The midpoint of the pool default's static cost interval
-        (:func:`repro.analyze.dominance.cold_start_estimate`), cached per
-        (kernel, kind).  ``None`` when ``config.analyze.dominance`` is
+        (:func:`repro.analyze.dominance.cold_start_estimate`, whose cost
+        bounds are memoized by the pool's IR, so a re-registered pool is
+        priced afresh).  ``None`` when ``config.analyze.dominance`` is
         off, the kernel is unknown on that kind, or the interval is
         unbounded — dispatch then falls back to observed means exactly
         as before.
@@ -638,27 +612,17 @@ class LaunchScheduler:
         settings = self.config.analyze
         if not settings.dominance:
             return None
-        key = (kernel, device_kind)
-        with self._static_lock:
-            if key in self._static_estimates:
-                return self._static_estimates[key]
-            estimate: Optional[float] = None
-            for worker in self._workers:
-                if worker.device_kind != device_kind:
-                    continue
-                if kernel in worker.runtime.registry:
-                    estimate = cold_start_estimate(
-                        worker.runtime.registry.pool(kernel),
-                        device_kind,
-                        policy=policy_from_settings(settings),
-                    )
-                break
-            self._static_estimates[key] = estimate
-            return estimate
+        workers = self._kind_workers.get(device_kind)
+        if not workers or kernel not in workers[0].runtime.registry:
+            return None
+        return cold_start_estimate(
+            workers[0].runtime.registry.pool(kernel),
+            device_kind,
+            policy=policy_from_settings(settings),
+        )
 
     def _on_invalidate(self, kernel: str, why: str) -> None:
         """Runtime invalidation hook → evict persisted selections too."""
-        self._drop_static_estimates(kernel)
         evicted = self.store.invalidate_kernel(kernel)
         if evicted and self.tracer.enabled:
             self.tracer.instant(

@@ -3,12 +3,15 @@
 One JSON file is the known scalability cliff of :class:`SelectionStore`
 once many concurrent clients contend on it: every save serializes the
 whole map and every saver queues behind one atomic rename.
-:class:`ShardedSelectionStore` splits the key space across ``shards``
-inner stores by ``crc32(key) % shards`` — the key already encodes the
-full selection tuple ``kernel|device_kind|class`` (see
-:mod:`repro.serve.signature`), so one shard owns all updates for a slice
-of (kernel, device-kind, class) space and two clients publishing
-different classes almost never touch the same lock *or the same file*.
+:class:`ShardedSelectionStore` is the same store spread over ``shards``
+shards (each with its own lock and counters) by ``crc32(key) % shards``
+— the key already encodes the full selection tuple
+``kernel|device_kind|class`` (see :mod:`repro.serve.signature`), so one
+shard owns all updates for a slice of (kernel, device-kind, class) space
+and two clients publishing different classes almost never touch the same
+lock *or the same file*.  What it adds to :class:`SelectionStore` is the
+directory layout: routing, dirty tracking, and the directory's
+save/load.
 
 On disk a sharded store is a directory::
 
@@ -33,36 +36,31 @@ its declared version) rather than partially loaded, while a single
 a warning — its selections re-profile, the other shards' survive —
 matching the single-file store's crash-recovery philosophy.
 
-Fleet-wide state that is not per-key — the quarantine ledger, the drift
-controller, the selection predictor — is owned once at the sharded level
-and shared *into* every inner shard, so the semantics match
-:class:`SelectionStore` exactly: a publish on any shard trains the one
-predictor, a drift confirmation decays the entry in whichever shard owns
-its key, and one quarantine bars a variant for every client.
+The quarantine ledger, the drift controller and the selection predictor
+are the store's own, as in any :class:`SelectionStore`: a publish on any
+shard trains the one predictor, a drift confirmation decays the entry in
+whichever shard owns its key, and one quarantine bars a variant for
+every client.  They are saved in the meta document.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import warnings
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..drift import DriftConfig, ReselectionController
-from ..errors import DriftError, PredictError, StoreError, StoreSchemaError
-from ..faults.quarantine import VariantQuarantine
-from ..predict import PredictConfig, SelectionPredictor
+from ..drift import DriftConfig
+from ..errors import StoreError
+from ..predict import PredictConfig
 from .store import (
     DEFAULT_DECAY_GRACE,
     DEFAULT_EWMA_ALPHA,
-    MIGRATABLE_VERSIONS,
     SCHEMA_VERSION,
     SelectionStore,
-    StoreEntry,
-    StoreStats,
     _atomic_write_json,
-    parse_entry,
+    _check_versions,
+    _read_document,
+    _Shard,
 )
 
 #: Default shard count: enough that 64 concurrent clients rarely collide
@@ -78,15 +76,12 @@ def shard_filename(index: int) -> str:
     return f"shard-{index:04d}.json"
 
 
-class ShardedSelectionStore:
-    """A :class:`SelectionStore` split across per-shard files.
+class ShardedSelectionStore(SelectionStore):
+    """A :class:`SelectionStore` spread over ``shards`` shards, saved as
+    one file per shard in a directory.
 
-    Duck-types the full ``SelectionStore`` surface the serving layer
-    uses (``lookup`` / ``peek`` / ``publish`` / ``decay`` /
-    ``invalidate_kernel`` / ``save`` / ``load`` / ``stats`` /
-    ``quarantine`` / ``drift`` / ``predictor``), so
-    :class:`~repro.serve.scheduler.LaunchScheduler` accepts either
-    interchangeably.
+    It serves exactly as a one-shard store does, so
+    :class:`~repro.serve.scheduler.LaunchScheduler` accepts either.
     """
 
     def __init__(
@@ -103,117 +98,28 @@ class ShardedSelectionStore:
         :class:`SelectionStore`, plus the shard count)."""
         if not isinstance(shards, int) or shards < 1:
             raise StoreError(f"shards must be a positive int, got {shards!r}")
+        super().__init__(
+            ttl=ttl,
+            ewma_alpha=ewma_alpha,
+            clock=clock,
+            drift=drift,
+            decay_grace=decay_grace,
+            predict=predict,
+        )
         self.shard_count = shards
-        # Inner shards are built bare (no drift/predict of their own) and
-        # then share the fleet-wide subsystems owned here, so every shard
-        # sees one quarantine ledger, one drift loop, one predictor.
-        self._shards: List[SelectionStore] = [
-            SelectionStore(
-                ttl=ttl,
-                ewma_alpha=ewma_alpha,
-                clock=clock,
-                decay_grace=decay_grace,
-            )
-            for _ in range(shards)
-        ]
-        self.ttl = ttl
-        self.ewma_alpha = ewma_alpha
-        self.decay_grace = decay_grace
-        self._clock = self._shards[0]._clock
-        self.quarantine = VariantQuarantine(clock=self._clock)
-        self.drift: Optional[ReselectionController] = (
-            ReselectionController(drift, decay_hook=self.decay)
-            if drift is not None
-            else None
-        )
-        self.predictor: Optional[SelectionPredictor] = (
-            SelectionPredictor(predict) if predict is not None else None
-        )
-        for shard in self._shards:
-            shard.quarantine = self.quarantine
-            shard.drift = self.drift
-            shard.predictor = self.predictor
-        #: Per-shard "has un-saved mutations" flags; cleared (before
-        #: serialization, so a racing publish re-dirties) by :meth:`save`.
-        self._dirty: List[bool] = [False] * shards
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
+        self._shards.extend(_Shard() for _ in range(shards - 1))
 
     def shard_index(self, key: str) -> int:
         """Which shard owns a workload-class key."""
         return zlib.crc32(key.encode("utf-8")) % self.shard_count
 
-    def _shard(self, key: str) -> SelectionStore:
+    def _owner(self, key: str) -> _Shard:
+        """The shard that owns a key, by :meth:`shard_index`."""
         return self._shards[self.shard_index(key)]
-
-    # ------------------------------------------------------------------
-    # SelectionStore surface (delegated per key / fanned out)
-    # ------------------------------------------------------------------
-
-    def lookup(self, key: str) -> Optional[StoreEntry]:
-        """See :meth:`SelectionStore.lookup` (routed to the owning shard)."""
-        return self._shard(key).lookup(key)
-
-    def peek(self, key: str) -> Optional[StoreEntry]:
-        """See :meth:`SelectionStore.peek` (routed to the owning shard)."""
-        return self._shard(key).peek(key)
-
-    def publish(self, key: str, *args: object, **kwargs: object) -> StoreEntry:
-        """See :meth:`SelectionStore.publish` (routed; marks shard dirty)."""
-        index = self.shard_index(key)
-        entry = self._shards[index].publish(key, *args, **kwargs)
-        self._dirty[index] = True
-        return entry
-
-    def decay(self, key: str, grace: Optional[float] = None) -> bool:
-        """See :meth:`SelectionStore.decay` (routed; marks shard dirty)."""
-        index = self.shard_index(key)
-        demoted = self._shards[index].decay(key, grace)
-        if demoted:
-            self._dirty[index] = True
-        return demoted
-
-    def invalidate_kernel(self, kernel: str) -> int:
-        """See :meth:`SelectionStore.invalidate_kernel` (all shards)."""
-        dropped = 0
-        for index, shard in enumerate(self._shards):
-            count = shard.invalidate_kernel(kernel)
-            if count:
-                self._dirty[index] = True
-            dropped += count
-        return dropped
-
-    @property
-    def stats(self) -> StoreStats:
-        """Aggregate counters over every shard."""
-        total = StoreStats()
-        for shard in self._shards:
-            total.hits += shard.stats.hits
-            total.misses += shard.stats.misses
-            total.expirations += shard.stats.expirations
-            total.invalidations += shard.stats.invalidations
-            total.puts += shard.stats.puts
-            total.decays += shard.stats.decays
-        return total
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._shard(key)
-
-    def keys(self) -> Iterator[str]:
-        """Snapshot of live keys across every shard (no TTL filtering)."""
-        snapshot: List[str] = []
-        for shard in self._shards:
-            snapshot.extend(shard.keys())
-        return iter(tuple(snapshot))
 
     def dirty_shards(self) -> List[int]:
         """Indices of shards with mutations since the last save."""
-        return [i for i, dirty in enumerate(self._dirty) if dirty]
+        return [i for i, shard in enumerate(self._shards) if shard.dirty]
 
     # ------------------------------------------------------------------
     # Persistence
@@ -234,23 +140,21 @@ class ShardedSelectionStore:
             "layout": "sharded",
             "shard_count": self.shard_count,
         }
-        # The shards share this store's quarantine/drift/predictor, so
-        # any one shard serializes the fleet-wide side state faithfully.
-        meta.update(self._shards[0].side_payloads())
+        meta.update(self.side_payloads())
         _atomic_write_json(os.path.join(path, META_FILENAME), meta)
         for index, shard in enumerate(self._shards):
             target = os.path.join(path, shard_filename(index))
             # Clear-before-serialize: a publish racing this save flips
             # the flag back on and the *next* checkpoint rewrites the
             # shard, so no mutation is ever silently lost.
-            was_dirty, self._dirty[index] = self._dirty[index], False
+            was_dirty, shard.dirty = shard.dirty, False
             if only_dirty and not was_dirty and os.path.exists(target):
                 continue
             doc = {
                 "schema_version": SCHEMA_VERSION,
                 "shard_index": index,
                 "shard_count": self.shard_count,
-                "entries": shard.entry_payloads(),
+                "entries": self._shard_payloads(shard, self._clock()),
             }
             _atomic_write_json(target, doc)
 
@@ -269,10 +173,12 @@ class ShardedSelectionStore:
         """Merge-on-load a directory written by :meth:`save`.
 
         ``shards`` overrides the layout (defaults to the saved
-        ``shard_count``); entries are re-hashed into the requested
-        layout, so growing or shrinking the shard count is just a load +
-        save away.  Duplicate keys across shard files — possible after a
-        layout change interrupted mid-save — keep the freshest entry.
+        ``shard_count``, or one shard per shard file when the meta is
+        missing); entries are re-hashed into the requested layout, so
+        growing or shrinking the shard count is just a load + save away.
+        Duplicate keys across shard files — possible after a layout
+        change interrupted mid-save — keep the freshest entry.  Side
+        state is armed as by :meth:`SelectionStore.load`.
 
         Failure semantics, matching :meth:`SelectionStore.load`:
 
@@ -285,7 +191,8 @@ class ShardedSelectionStore:
           partial load.
         * A torn shard file (unparseable JSON from a crash mid-write) is
           skipped with a warning; its classes re-profile while every
-          other shard's selections survive.
+          other shard's selections survive.  A torn meta loses the side
+          state and keeps every entry.
         """
         try:
             names = sorted(os.listdir(path))
@@ -302,89 +209,38 @@ class ShardedSelectionStore:
         versions: Dict[str, object] = {}
         meta_path = os.path.join(path, META_FILENAME)
         if META_FILENAME in names:
-            try:
-                with open(meta_path, "r", encoding="utf-8") as handle:
-                    meta_doc = json.load(handle)
-            except OSError as exc:
-                raise StoreError(
-                    f"cannot read sharded selection store meta "
-                    f"{meta_path!r}: {exc}"
-                )
-            except json.JSONDecodeError as exc:
-                warnings.warn(
-                    f"sharded store meta {meta_path!r} is empty or torn "
-                    f"({exc}); quarantine/drift/predict side-state is "
-                    "lost, entries will still load",
-                    stacklevel=2,
-                )
-                meta_doc = None
+            meta_doc = _read_document(
+                meta_path,
+                "sharded store meta",
+                "empty or torn",
+                "quarantine/drift/predict side-state is lost, entries "
+                "will still load",
+            )
             if meta_doc is not None:
-                if not isinstance(meta_doc, dict) or (
-                    "schema_version" not in meta_doc
-                ):
-                    raise StoreSchemaError(
-                        f"sharded store meta {meta_path!r} has no "
-                        "schema_version; refusing to interpret it"
-                    )
                 meta = meta_doc
                 versions[meta_path] = meta_doc["schema_version"]
         # Parse every shard document *before* interpreting any entry, so
         # version agreement is judged over the whole directory.
-        docs: List[tuple] = []
+        docs: List[Tuple[str, Dict[str, object]]] = []
         for name in shard_names:
             shard_path = os.path.join(path, name)
-            try:
-                with open(shard_path, "r", encoding="utf-8") as handle:
-                    doc = json.load(handle)
-            except OSError as exc:
-                raise StoreError(
-                    f"cannot read selection store shard {shard_path!r}: "
-                    f"{exc}"
-                )
-            except json.JSONDecodeError as exc:
-                warnings.warn(
-                    f"selection store shard {shard_path!r} is torn or "
-                    f"truncated ({exc}); skipping it — its workload "
-                    "classes will re-profile",
-                    stacklevel=2,
-                )
-                continue
-            if not isinstance(doc, dict) or "schema_version" not in doc:
-                raise StoreSchemaError(
-                    f"selection store shard {shard_path!r} has no "
-                    "schema_version; refusing to interpret it"
-                )
-            versions[shard_path] = doc["schema_version"]
-            docs.append((shard_path, doc))
-        accepted = set(MIGRATABLE_VERSIONS) | {SCHEMA_VERSION}
-        bad = {p: v for p, v in versions.items() if v not in accepted}
-        if bad:
-            raise StoreSchemaError(
-                f"sharded selection store {path!r} declares unsupported "
-                f"schema versions {sorted(set(bad.values()), key=repr)!r}; "
-                f"this build speaks {SCHEMA_VERSION} "
-                f"(migratable: {list(MIGRATABLE_VERSIONS)})",
-                versions=versions,
+            doc = _read_document(
+                shard_path,
+                "selection store shard",
+                "torn or truncated",
+                "skipping it — its workload classes will re-profile",
             )
-        if len(set(versions.values())) > 1:
-            raise StoreSchemaError(
-                f"sharded selection store {path!r} mixes schema versions "
-                f"{sorted(set(versions.values()))!r} across its shards; "
-                "refusing the partial load — re-save the store with one "
-                "build before loading it with another",
-                versions=versions,
-            )
+            if doc is not None:
+                versions[shard_path] = doc["schema_version"]
+                docs.append((shard_path, doc))
+        _check_versions(f"sharded selection store {path!r}", versions)
         saved_count = meta.get("shard_count")
         if shards is None:
             shards = (
                 saved_count
                 if isinstance(saved_count, int) and saved_count >= 1
-                else max(1, len(shard_names)) or DEFAULT_SHARDS
+                else max(1, len(shard_names))
             )
-        if drift is None and isinstance(meta.get("drift"), dict):
-            # Same rule as the single-file store: persisted drift state
-            # arms the loop with default tuning rather than being lost.
-            drift = DriftConfig()
         store = cls(
             shards=shards,
             ttl=ttl,
@@ -394,74 +250,15 @@ class ShardedSelectionStore:
             decay_grace=decay_grace,
             predict=predict,
         )
-        now = store._clock()
-        merged: Dict[str, StoreEntry] = {}
-        for shard_path, doc in docs:
-            entries = doc.get("entries")
-            if not isinstance(entries, list):
-                raise StoreError(
-                    f"selection store shard {shard_path!r} is corrupt: "
-                    f"'entries' is {type(entries).__name__}, expected a "
-                    "list"
-                )
-            for raw in entries:
-                entry = parse_entry(raw, now, shard_path)
-                kept = merged.get(entry.key)
-                # Merge-on-load: the freshest copy of a key wins.
-                if kept is None or entry.recorded_at >= kept.recorded_at:
-                    merged[entry.key] = entry
-        for entry in merged.values():
-            store._shard(entry.key)._entries[entry.key] = entry
+        store._restore(
+            "selection store shard",
+            docs,
+            meta,
+            f"sharded store meta {meta_path!r}",
+        )
         if saved_count != store.shard_count:
             # The on-disk layout no longer matches: force a full rewrite
             # at the next checkpoint so stale shard files cannot linger.
-            store._dirty = [True] * store.shard_count
-        store._load_side_state(meta, meta_path)
+            for shard in store._shards:
+                shard.dirty = True
         return store
-
-    def _load_side_state(self, meta: Dict[str, object], source: str) -> None:
-        """Arm quarantine/drift/predictor from a parsed meta document."""
-        ledger = meta.get("quarantine")
-        if ledger is not None:
-            if not isinstance(ledger, dict):
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: "
-                    f"'quarantine' is {type(ledger).__name__}, expected "
-                    "an object"
-                )
-            self.quarantine.load_payload(ledger)
-        drift_doc = meta.get("drift")
-        if drift_doc is not None:
-            if not isinstance(drift_doc, dict):
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: 'drift' "
-                    f"is {type(drift_doc).__name__}, expected an object"
-                )
-            assert self.drift is not None
-            try:
-                self.drift.load_payload(drift_doc)
-            except DriftError as exc:
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: {exc}"
-                ) from exc
-        predict_doc = meta.get("predict")
-        if predict_doc is not None:
-            if not isinstance(predict_doc, dict):
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: "
-                    f"'predict' is {type(predict_doc).__name__}, "
-                    "expected an object"
-                )
-            try:
-                if self.predictor is not None:
-                    self.predictor.load_payload(predict_doc)
-                else:
-                    self.predictor = SelectionPredictor.from_payload(
-                        predict_doc
-                    )
-            except PredictError as exc:
-                raise StoreError(
-                    f"sharded store meta {source!r} is corrupt: {exc}"
-                ) from exc
-            for shard in self._shards:
-                shard.predictor = self.predictor

@@ -26,7 +26,10 @@ Four decay/invalidation mechanisms, from cheapest to strongest:
   :meth:`repro.core.runtime.DySelRuntime.add_invalidation_hook`.
 
 The store is thread-safe; every method may be called concurrently from
-serving threads.
+serving threads.  Its entries live in shards, each with its own lock: a
+store saved to one file has one shard, and
+:class:`~repro.serve.shards.ShardedSelectionStore` spreads the same store
+over several, saved one file per shard.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..drift import DriftConfig, ReselectionController
 from ..errors import DriftError, PredictError, StoreError, StoreSchemaError
@@ -208,8 +211,94 @@ def _atomic_write_json(path: str, doc: Dict[str, object]) -> None:
         raise
 
 
+def _read_document(
+    path: str, what: str, torn: str, then: str
+) -> Optional[Dict[str, object]]:
+    """Open and decode one snapshot document: a store file, a sharded
+    store's meta, or one of its shards.
+
+    An empty or non-JSON document (a crash mid-write) is forgiven with
+    the warning ``"<what> <path> is <torn> (...); <then>"`` and read as
+    ``None``.  An unreadable file raises :class:`StoreError`, a document
+    without a ``schema_version`` :class:`StoreSchemaError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise StoreError(f"cannot read {what} {path!r}: {exc}")
+    except json.JSONDecodeError as exc:
+        warnings.warn(
+            f"{what} {path!r} is {torn} ({exc}); {then}", stacklevel=3
+        )
+        return None
+    if not isinstance(doc, dict) or "schema_version" not in doc:
+        raise StoreSchemaError(
+            f"{what} {path!r} has no schema_version; refusing to "
+            "interpret it"
+        )
+    return doc
+
+
+def _check_versions(source: str, versions: Dict[str, object]) -> None:
+    """The schema-version gate over every document of one snapshot.
+
+    ``versions`` maps each document's path to its declared version.  Any
+    version this build cannot read, or documents that disagree, raise a
+    :class:`StoreSchemaError` whose ``.versions`` lists them all: a
+    serving fleet must not trust keys derived under different bucketing
+    rules, and a snapshot is never partially loaded.
+    """
+    accepted = (SCHEMA_VERSION, *MIGRATABLE_VERSIONS)
+    bad = {repr(v) for v in versions.values() if v not in accepted}
+    if bad:
+        raise StoreSchemaError(
+            f"{source} declares unsupported schema versions "
+            f"{', '.join(sorted(bad))}; this build speaks {SCHEMA_VERSION} "
+            f"(migratable: {list(MIGRATABLE_VERSIONS)}); re-profile "
+            "instead of trusting selections keyed under different rules",
+            versions=versions,
+        )
+    if len(set(versions.values())) > 1:
+        raise StoreSchemaError(
+            f"{source} mixes schema versions "
+            f"{sorted(set(versions.values()))!r} across its shards; "
+            "refusing the partial load — re-save the store with one "
+            "build before loading it with another",
+            versions=versions,
+        )
+
+
+def _section(doc: Dict[str, object], name: str, source: str) -> object:
+    """One optional object-valued section of a snapshot document."""
+    section = doc.get(name)
+    if section is not None and not isinstance(section, dict):
+        raise StoreError(
+            f"{source} is corrupt: {name!r} is "
+            f"{type(section).__name__}, expected an object"
+        )
+    return section
+
+
+class _Shard:
+    """One shard of a store: its entries, their lock, counters and
+    whether it changed since the last save."""
+
+    __slots__ = ("entries", "lock", "stats", "dirty")
+
+    def __init__(self) -> None:
+        self.entries: Dict[str, StoreEntry] = {}
+        self.lock = threading.RLock()
+        self.stats = StoreStats()
+        self.dirty = False
+
+
 class SelectionStore:
-    """Thread-safe persistent map: workload-class key → selection."""
+    """Thread-safe persistent map: workload-class key → selection.
+
+    The quarantine ledger, drift loop and predictor are fleet-wide and
+    exist once per store, whatever its number of shards.
+    """
 
     def __init__(
         self,
@@ -260,9 +349,7 @@ class SelectionStore:
         self.ewma_alpha = ewma_alpha
         self.decay_grace = decay_grace
         self._clock = clock if clock is not None else time.time
-        self._entries: Dict[str, StoreEntry] = {}
-        self._lock = threading.RLock()
-        self.stats = StoreStats()
+        self._shards: List[_Shard] = [_Shard()]
         #: Fleet-wide fault ledger (see :mod:`repro.faults.quarantine`).
         #: The scheduler shares this one ledger into every worker runtime
         #: so a variant misbehaving for one client is barred for all, and
@@ -286,6 +373,11 @@ class SelectionStore:
             SelectionPredictor(predict) if predict is not None else None
         )
 
+    def _owner(self, key: str) -> _Shard:
+        """The shard that owns a key: the only one, so a one-shard store
+        routes without hashing (the sharded layout overrides this)."""
+        return self._shards[0]
+
     # ------------------------------------------------------------------
     # Lookup / update
     # ------------------------------------------------------------------
@@ -296,18 +388,19 @@ class SelectionStore:
         Expired entries are evicted here (lazy TTL): the miss the caller
         sees is what sends the next launch back to micro-profiling.
         """
-        with self._lock:
-            entry = self._entries.get(key)
+        shard = self._owner(key)
+        with shard.lock:
+            entry = shard.entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                shard.stats.misses += 1
                 return None
             if self._expired(entry, self._clock()):
-                del self._entries[key]
-                self.stats.expirations += 1
-                self.stats.misses += 1
+                del shard.entries[key]
+                shard.stats.expirations += 1
+                shard.stats.misses += 1
                 return None
             entry.hits += 1
-            self.stats.hits += 1
+            shard.stats.hits += 1
             return entry
 
     def peek(self, key: str) -> Optional[StoreEntry]:
@@ -318,8 +411,9 @@ class SelectionStore:
         when serving one, so it must not skew the serving statistics.
         Expired entries still read as absent.
         """
-        with self._lock:
-            entry = self._entries.get(key)
+        shard = self._owner(key)
+        with shard.lock:
+            entry = shard.entries.get(key)
             if entry is None or self._expired(entry, self._clock()):
                 return None
             return entry
@@ -352,9 +446,10 @@ class SelectionStore:
         predicted ones never do, so the model cannot reinforce its own
         guesses.
         """
-        with self._lock:
+        shard = self._owner(key)
+        with shard.lock:
             now = self._clock()
-            entry = self._entries.get(key)
+            entry = shard.entries.get(key)
             if (
                 entry is not None
                 and entry.selected == selected
@@ -378,8 +473,9 @@ class SelectionStore:
                     predicted=predicted,
                     device_kind=device_kind_from_key(key),
                 )
-                self._entries[key] = entry
-            self.stats.puts += 1
+                shard.entries[key] = entry
+            shard.stats.puts += 1
+            shard.dirty = True
             predictor = self.predictor
         if predictor is not None and not predicted:
             predictor.learn(key, selected)
@@ -398,9 +494,10 @@ class SelectionStore:
         winner) clears the deadline.  Returns False when the key has no
         live entry.
         """
-        with self._lock:
+        shard = self._owner(key)
+        with shard.lock:
             now = self._clock()
-            entry = self._entries.get(key)
+            entry = shard.entries.get(key)
             if entry is None or self._expired(entry, now):
                 return False
             deadline = now + (
@@ -408,7 +505,8 @@ class SelectionStore:
             )
             if entry.decay_at is None or deadline < entry.decay_at:
                 entry.decay_at = deadline
-            self.stats.decays += 1
+            shard.stats.decays += 1
+            shard.dirty = True
             return True
 
     def invalidate_kernel(self, kernel: str) -> int:
@@ -418,15 +516,20 @@ class SelectionStore:
         invalidation hooks so a pool re-registration anywhere in the
         fleet kills persisted selections for that kernel.
         """
-        with self._lock:
-            doomed = [
-                key
-                for key, entry in self._entries.items()
-                if entry.kernel == kernel
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidations += len(doomed)
+        doomed: List[str] = []
+        for shard in self._shards:
+            with shard.lock:
+                dropped = [
+                    key
+                    for key, entry in shard.entries.items()
+                    if entry.kernel == kernel
+                ]
+                for key in dropped:
+                    del shard.entries[key]
+                shard.stats.invalidations += len(dropped)
+                if dropped:
+                    shard.dirty = True
+            doomed.extend(dropped)
         if self.drift is not None:
             # The candidate set changed: the per-class throughput history
             # describes variants that may no longer exist.
@@ -458,14 +561,21 @@ class SelectionStore:
 
         Timestamps are persisted as ages (``age``, remaining
         ``decay_in``) rather than absolutes, so TTL accounting survives
-        process restarts on a different clock origin.  Shared by
-        :meth:`save` and the sharded store's per-shard writer
-        (:mod:`repro.serve.shards`).
+        process restarts on a different clock origin.
         """
-        with self._lock:
-            now = self._clock()
+        now = self._clock()
+        return [
+            raw
+            for shard in self._shards
+            for raw in self._shard_payloads(shard, now)
+        ]
+
+    @staticmethod
+    def _shard_payloads(shard: _Shard, now: float) -> list:
+        """:meth:`entry_payloads` of one shard, aged at ``now``."""
+        with shard.lock:
             entries = []
-            for entry in self._entries.values():
+            for entry in shard.entries.values():
                 raw = asdict(entry)
                 raw.pop("decay_at")
                 raw["age"] = max(0.0, now - entry.recorded_at)
@@ -516,18 +626,15 @@ class SelectionStore:
     ) -> "SelectionStore":
         """Deserialize a store written by :meth:`save`.
 
-        ``drift``/``predict`` re-arm those subsystems with the caller's
-        tuning; when either is ``None`` but the snapshot carries that
-        section, the subsystem is armed anyway (drift with default
-        tuning, the predictor with the snapshot's own config) so
-        persisted state is never silently dropped.
+        ``drift``/``predict`` arm those subsystems with the caller's
+        tuning, whatever the file holds; a snapshot section the caller
+        did not arm is armed anyway (see :meth:`_restore`).
 
         Raises :class:`StoreSchemaError` when the file's
-        ``schema_version`` does not match :data:`SCHEMA_VERSION` (a
-        serving fleet must not trust keys derived under different
-        bucketing rules), and :class:`StoreError` for unreadable files or
-        structurally corrupt *JSON documents*.  Failure is all-or-nothing:
-        a store is never partially loaded.
+        ``schema_version`` is missing or not one this build reads (see
+        :func:`_check_versions`), and :class:`StoreError` for unreadable
+        files or structurally corrupt *JSON documents*.  Failure is
+        all-or-nothing: a store is never partially loaded.
 
         A file that is empty or not parseable as JSON at all is treated
         like a *missing* store — a fresh empty store is returned with a
@@ -536,42 +643,12 @@ class SelectionStore:
         gone either way, and a serving process that refuses to start over
         a zero-byte file turns a lost cache into an outage.
         """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise StoreError(f"cannot read selection store {path!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            warnings.warn(
-                f"selection store {path!r} is empty or truncated "
-                f"({exc}); starting with a fresh store",
-                stacklevel=2,
-            )
-            return cls(ttl=ttl, ewma_alpha=ewma_alpha, clock=clock, drift=drift)
-        if not isinstance(doc, dict) or "schema_version" not in doc:
-            raise StoreSchemaError(
-                f"selection store {path!r} has no schema_version; refusing "
-                "to interpret it"
-            )
-        version = doc["schema_version"]
-        if version != SCHEMA_VERSION and version not in MIGRATABLE_VERSIONS:
-            raise StoreSchemaError(
-                f"selection store {path!r} has schema_version={version!r}, "
-                f"this build speaks {SCHEMA_VERSION}; re-profile instead of "
-                "trusting selections keyed under different rules",
-                versions={path: version},
-            )
-        entries = doc.get("entries")
-        if not isinstance(entries, list):
-            raise StoreError(
-                f"selection store {path!r} is corrupt: 'entries' is "
-                f"{type(entries).__name__}, expected a list"
-            )
-        if drift is None and isinstance(doc.get("drift"), dict):
-            # The snapshot carries drift state but the caller did not ask
-            # for a specific tuning: arm the loop with defaults rather
-            # than silently dropping persisted baselines and episodes.
-            drift = DriftConfig()
+        doc = _read_document(
+            path,
+            "selection store",
+            "empty or truncated",
+            "starting with a fresh store",
+        )
         store = cls(
             ttl=ttl,
             ewma_alpha=ewma_alpha,
@@ -579,71 +656,95 @@ class SelectionStore:
             drift=drift,
             predict=predict,
         )
-        now = store._clock()
-        for raw in entries:
-            entry = parse_entry(raw, now, path)
-            store._entries[entry.key] = entry
-        ledger = doc.get("quarantine")
+        if doc is not None:
+            source = f"selection store {path!r}"
+            _check_versions(source, {path: doc["schema_version"]})
+            store._restore("selection store", [(path, doc)], doc, source)
+        return store
+
+    def _restore(
+        self,
+        what: str,
+        docs: List[Tuple[str, Dict[str, object]]],
+        side: Dict[str, object],
+        source: str,
+    ) -> None:
+        """Fill a new store from parsed snapshot documents.
+
+        ``docs`` are ``(path, document)`` pairs holding ``entries`` lists
+        (the freshest copy of a key wins); ``side`` holds the quarantine,
+        drift and predict sections.  ``what`` and ``source`` name them in
+        errors.  A drift or predict section arms its subsystem even when
+        the caller did not (drift with default tuning, the predictor with
+        the snapshot's own config), so persisted state is never silently
+        dropped; an armed predictor keeps the caller's tuning.
+        """
+        now = self._clock()
+        merged: Dict[str, StoreEntry] = {}
+        for path, doc in docs:
+            entries = doc.get("entries")
+            if not isinstance(entries, list):
+                raise StoreError(
+                    f"{what} {path!r} is corrupt: 'entries' is "
+                    f"{type(entries).__name__}, expected a list"
+                )
+            for raw in entries:
+                entry = parse_entry(raw, now, path)
+                kept = merged.get(entry.key)
+                if kept is None or entry.recorded_at >= kept.recorded_at:
+                    merged[entry.key] = entry
+        for entry in merged.values():
+            self._owner(entry.key).entries[entry.key] = entry
+        ledger = _section(side, "quarantine", source)
         if ledger is not None:
-            if not isinstance(ledger, dict):
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: 'quarantine' is "
-                    f"{type(ledger).__name__}, expected an object"
-                )
-            store.quarantine.load_payload(ledger)
-        drift_doc = doc.get("drift")
+            self.quarantine.load_payload(ledger)
+        drift_doc = _section(side, "drift", source)
         if drift_doc is not None:
-            if not isinstance(drift_doc, dict):
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: 'drift' is "
-                    f"{type(drift_doc).__name__}, expected an object"
+            if self.drift is None:
+                self.drift = ReselectionController(
+                    DriftConfig(), decay_hook=self.decay
                 )
-            assert store.drift is not None
             try:
-                store.drift.load_payload(drift_doc)
+                self.drift.load_payload(drift_doc)
             except DriftError as exc:
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: {exc}"
-                ) from exc
-        predict_doc = doc.get("predict")
+                raise StoreError(f"{source} is corrupt: {exc}") from exc
+        predict_doc = _section(side, "predict", source)
         if predict_doc is not None:
-            if not isinstance(predict_doc, dict):
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: 'predict' is "
-                    f"{type(predict_doc).__name__}, expected an object"
-                )
             try:
-                if store.predictor is not None:
-                    # The caller's tuning wins; the snapshot contributes
-                    # history (examples + fitted trees) only.
-                    store.predictor.load_payload(predict_doc)
+                if self.predictor is not None:
+                    self.predictor.load_payload(predict_doc)
                 else:
-                    # The snapshot carries a trained predictor but the
-                    # caller did not ask for one: arm it with the
-                    # snapshot's own config rather than silently
-                    # dropping the fitted models.
-                    store.predictor = SelectionPredictor.from_payload(
+                    self.predictor = SelectionPredictor.from_payload(
                         predict_doc
                     )
             except PredictError as exc:
-                raise StoreError(
-                    f"selection store {path!r} is corrupt: {exc}"
-                ) from exc
-        return store
+                raise StoreError(f"{source} is corrupt: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
+    @property
+    def stats(self) -> StoreStats:
+        """Lookup/update counters, summed over every shard."""
+        total = StoreStats()
+        for shard in self._shards:
+            for name, count in vars(shard.stats).items():
+                setattr(total, name, getattr(total, name) + count)
+        return total
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return sum(len(shard.entries) for shard in self._shards)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        shard = self._owner(key)
+        with shard.lock:
+            return key in shard.entries
 
     def keys(self) -> Iterator[str]:
         """Snapshot of the live keys (no TTL filtering)."""
-        with self._lock:
-            return iter(tuple(self._entries))
+        snapshot: List[str] = []
+        for shard in self._shards:
+            with shard.lock:
+                snapshot.extend(shard.entries)
+        return iter(tuple(snapshot))

@@ -50,7 +50,7 @@ class TestRouting:
     def test_entries_spread_across_shards(self):
         store = ShardedSelectionStore(shards=4)
         publish_all(store)
-        occupied = [len(shard) for shard in store._shards]
+        occupied = [len(shard.entries) for shard in store._shards]
         assert sum(occupied) == len(KEYS)
         assert sum(1 for n in occupied if n) > 1
 
@@ -157,6 +157,11 @@ class TestSaveLoad:
         loaded = ShardedSelectionStore.load(path)
         assert loaded.lookup(KEYS[0]).selected == "old"
 
+    def test_empty_directory_loads_as_one_shard(self, tmp_path):
+        loaded = ShardedSelectionStore.load(str(tmp_path))
+        assert loaded.shard_count == 1
+        assert len(loaded) == 0
+
     def test_unreadable_directory_raises(self, tmp_path):
         with pytest.raises(StoreError, match="cannot read"):
             ShardedSelectionStore.load(str(tmp_path / "missing"))
@@ -241,8 +246,7 @@ class TestSharedSideState:
         threshold = store.quarantine.policy.quarantine_threshold
         for _ in range(threshold):
             store.quarantine.note_fault("k", "bad", "test")
-        for shard in store._shards:
-            assert shard.quarantine.is_quarantined("k", "bad")
+        assert store.quarantine.is_quarantined("k", "bad")
         path = str(tmp_path / "store")
         store.save(path)
         loaded = ShardedSelectionStore.load(path)

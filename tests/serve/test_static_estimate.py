@@ -69,18 +69,6 @@ class TestStaticUnitCost:
         assert scheduler._static_unit_cost("nope", "cpu") is None
         assert scheduler._static_unit_cost("axpy", "tpu") is None
 
-    def test_prior_is_cached(self):
-        scheduler = make_scheduler(dominance_config())
-        first = scheduler._static_unit_cost("axpy", "cpu")
-        assert scheduler._static_estimates[("axpy", "cpu")] == first
-        assert scheduler._static_unit_cost("axpy", "cpu") == first
-
-    def test_invalidation_drops_the_cached_prior(self):
-        scheduler = make_scheduler(dominance_config())
-        scheduler._static_unit_cost("axpy", "cpu")
-        scheduler._on_invalidate("axpy", "test eviction")
-        assert ("axpy", "cpu") not in scheduler._static_estimates
-
     def test_cached_none_does_not_outlive_first_registration(self):
         """Regression: a ``None`` prior cached before the kernel's
         *first* registration (which fires no invalidation hook) used to
@@ -90,7 +78,6 @@ class TestStaticUnitCost:
             (make_cpu(config), make_cpu(config)), config=config
         )
         assert scheduler._static_unit_cost("axpy", "cpu") is None
-        assert scheduler._static_estimates[("axpy", "cpu")] is None
         scheduler.register_pool(fast_slow_pool_build())
         prior = scheduler._static_unit_cost("axpy", "cpu")
         assert prior is not None and prior > 0
@@ -137,5 +124,4 @@ class TestServedBatch:
         assert sum(o.profiled for o in outcomes) == 1
         for request in batch:
             assert axpy_output_ok(request.args)
-        # The prior was computed once per (kernel, kind) during dispatch.
-        assert scheduler._static_estimates[("axpy", "cpu")] > 0
+        assert scheduler._static_unit_cost("axpy", "cpu") > 0

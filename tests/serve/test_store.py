@@ -251,6 +251,23 @@ class TestPersistence:
         assert len(loaded) == 0
         assert loaded.lookup("anything") is None
 
+    @pytest.mark.parametrize("content", ["", '{"schema_version": 4, "ent'])
+    def test_torn_file_keeps_the_callers_subsystems(self, tmp_path, content):
+        """A fresh store from a torn or empty file still arms the
+        predictor and drift loop the caller asked for."""
+        from repro.drift import DriftConfig
+        from repro.predict import PredictConfig
+
+        path = tmp_path / "store.json"
+        path.write_text(content)
+        with pytest.warns(UserWarning, match="empty or truncated"):
+            loaded = SelectionStore.load(
+                str(path), predict=PredictConfig(), drift=DriftConfig()
+            )
+        assert len(loaded) == 0
+        assert loaded.predictor is not None
+        assert loaded.drift is not None
+
     def test_corrupt_entry_rejected(self, tmp_path):
         path = str(tmp_path / "store.json")
         doc = {
