@@ -102,45 +102,16 @@ class NoisyClock:
     def read_intervals(self, true_cycles) -> List[MeasuredInterval]:
         """Measure several intervals through the quantized timer at once.
 
-        Bit-identical to calling :meth:`read_interval` once per entry in
-        order — including RNG consumption: entries on the exact branch
-        (interval far above the quantum) draw nothing, the rest draw one
-        phase each, and a numpy ``Generator`` produces the same stream
-        whether the uniforms are drawn one at a time or as a batch.  The
-        engine's analytic drain uses this so measurement noise cannot
-        tell the paths apart.
+        It is :meth:`read_interval` once per entry in order, RNG
+        consumption included: entries on the exact branch (interval far
+        above the quantum) draw nothing, the rest draw one scalar phase
+        each.  Every entry is checked before the first draw, so a batch
+        with a negative entry raises without consuming randomness.  The
+        engine's analytic drain flushes its finished tasks through this,
+        so measurement noise cannot tell it from per-task reads.
         """
-        values = np.asarray(true_cycles, dtype=float)
-        if values.size == 0:
-            return []
-        if np.any(values < 0):
-            bad = float(values[values < 0][0])
-            raise ValueError(f"interval cannot be negative: {bad}")
-        quantum = self._quantum
-        exact = values > quantum * 2**40
-        n_draws = int(np.count_nonzero(~exact))
-        phases = (
-            self._rng.uniform(0.0, quantum, size=n_draws)
-            if n_draws
-            else np.zeros(0)
-        )
-        out: List[MeasuredInterval] = []
-        draw = 0
-        for index, value in enumerate(values):
-            value = float(value)
-            if exact[index]:
-                out.append(
-                    MeasuredInterval(true_cycles=value, measured_cycles=value)
-                )
-                continue
-            phase = float(phases[draw])
-            draw += 1
-            start_tick = math.floor(phase / quantum)
-            end_tick = math.floor((phase + value) / quantum)
-            out.append(
-                MeasuredInterval(
-                    true_cycles=value,
-                    measured_cycles=(end_tick - start_tick) * quantum,
-                )
-            )
-        return out
+        values = [float(value) for value in true_cycles]
+        for value in values:
+            if value < 0:
+                raise ValueError(f"interval cannot be negative: {value}")
+        return [self.read_interval(value) for value in values]

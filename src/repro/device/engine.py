@@ -29,6 +29,8 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Mapping, Optional, Sequence, Tuple
@@ -66,6 +68,116 @@ class _Batch:
         self.task = task
         self.durations = task._durations
         self.index = 0
+
+
+def _exact_polls(x0: float, latency: float) -> int:
+    """How many polls from ``x0`` the closed form ``x0 + n·L`` is exact for.
+
+    Take ``2**e <= x0 < 2**(e+1)``, so ``ulp(x0) = 2**(e-52)``.  When
+    ``L`` is an integer multiple of ``ulp(x0)``, every ``x0 + k·L`` up
+    to ``2**(e+1)`` is representable, so each fold step ``fl(y + L)`` is
+    exact and the fold's n-th value is ``x0 + n·L``.  ``fl(x0 +
+    fl(n·L))`` computes the same value: ``n·L <= 2**e`` is a multiple of
+    ``ulp(x0)``, so it is exact too.  Returns the largest ``n`` with
+    ``x0 + n·L <= 2**(e+1)``; 0 when ``L`` is no multiple of
+    ``ulp(x0)`` or ``x0`` has no binade (zero, or subnormal).
+    """
+    if not x0 >= sys.float_info.min:
+        return 0
+    mantissa, exponent = math.frexp(x0)  # x0 = mantissa · 2**exponent
+    ulp = math.ldexp(1.0, exponent - 53)
+    steps = latency / ulp  # exact: ulp is a power of two
+    if not 1.0 <= steps <= 2.0**52 or not steps.is_integer():
+        return 0
+    # (2**exponent - x0) / ulp, exactly: 1 - mantissa is exact (Sterbenz).
+    return int(math.ldexp(1.0 - mantissa, 53)) // int(steps)
+
+
+class _PollInstants:
+    """The host clock after ``n`` polls of latency ``L`` from ``x0``.
+
+    The per-poll loop reaches the left fold ``x0 + L + L + …``, one
+    rounding per poll.  Up to poll ``exact`` (:func:`_exact_polls`) that
+    is the closed form ``x0 + n·L``, read and searched with integer
+    arithmetic and exact comparisons.  Past it (a power of two crossed,
+    ``L`` no multiple of ``ulp(x0)``, or ``x0`` zero) the fold itself
+    is built on demand with ``np.add.accumulate``, from the closed
+    form's last value.
+    """
+
+    __slots__ = ("x0", "latency", "exact", "_tail")
+
+    def __init__(self, x0: float, latency: float) -> None:
+        self.x0 = x0
+        self.latency = latency
+        self.exact = _exact_polls(x0, latency)
+        #: The fold from poll ``exact`` on (``None`` until needed).
+        self._tail: Optional[np.ndarray] = None
+
+    def at(self, n: int) -> float:
+        """The host clock after ``n`` polls."""
+        if n <= self.exact:
+            return self.x0 + n * self.latency
+        return float(self._folded(n)[n - self.exact])
+
+    def first(self, at: float, side: str = "left") -> int:
+        """The first poll whose instant is at or (``side="right"``)
+        strictly after ``at``: ``searchsorted`` over the fold."""
+        x0, latency, exact = self.x0, self.latency, self.exact
+        left = side == "left"
+        last = x0 + exact * latency
+        if last > at or left and last == at:
+            n = min(int((at - x0) / latency), exact) if at > x0 else 0
+            while n:
+                prior = x0 + (n - 1) * latency
+                if not (prior > at or left and prior == at):
+                    break
+                n -= 1
+            while True:
+                instant = x0 + n * latency
+                if instant > at or left and instant == at:
+                    return n
+                n += 1
+        tail = self._folded(exact + 1)
+        while True:
+            n = int(tail.searchsorted(at, side))
+            if n < len(tail):
+                return exact + n
+            reach = int((at - float(tail[-1])) / latency)
+            tail = self._folded(exact + len(tail) + max(reach, 1))
+
+    def first_pass(
+        self, at: float, offset: int, count: int, side: str = "left"
+    ) -> int:
+        """Pass of the first poll at position ``offset`` (1..``count``)
+        of a ``count``-poll pass whose instant is at or (``side="right"``)
+        after ``at``."""
+        n = max(self.first(at, side), 1)
+        return (n + (offset - n) % count - 1) // count
+
+    def series(self, polls: int) -> List[float]:
+        """The instants of polls ``1..polls``."""
+        x0, latency = self.x0, self.latency
+        closed = min(polls, self.exact)
+        out = [x0 + n * latency for n in range(1, closed + 1)]
+        if polls > closed:
+            # ``closed == exact`` here: tail[k] is poll ``exact + k``.
+            out += self._folded(polls)[1 : polls + 1 - closed].tolist()
+        return out
+
+    def _folded(self, n: int) -> np.ndarray:
+        """The fold from poll ``exact`` through at least poll ``n``."""
+        tail = self._tail
+        if tail is None:
+            tail = np.array([self.at(self.exact)])
+        size = len(tail)
+        need = n - self.exact + 1
+        if need > size:
+            steps = np.full(max(need, 2 * size) - size + 1, self.latency)
+            steps[0] = tail[-1]
+            tail = np.concatenate((tail, np.add.accumulate(steps)[1:]))
+        self._tail = tail
+        return tail
 
 
 class Priority(enum.IntEnum):
@@ -312,63 +424,53 @@ class ExecutionEngine:
         before the poll) and no ``eager`` task is done at the pass's end;
         a pass that starts past ``deadline`` is not.  Returns the passes
         covered.  ``now`` lands on the first non-quiet pass's start, the
-        per-poll fold ``now + L + L + …`` (``np.add.accumulate``); the
-        dispatcher stops by that pass's end (its start for the deadline
-        pass), so polling it poll by poll stays bit-identical.
+        float the per-poll fold ``now + L + L + …`` reaches
+        (:class:`_PollInstants`); the dispatcher stops by that pass's end
+        (its start for the deadline pass), so polling it poll by poll
+        stays bit-identical.
         """
         count = len(pending)
         latency = self.device.spec.host_query_latency
         inf = float("inf")
         if not count or latency <= 0 or self._now > deadline:
             return 0
-        instants = np.array([self._now])  # the host clock after n polls
-
-        def instant(n: int) -> float:
-            nonlocal instants
-            if n >= len(instants):
-                size = len(instants)
-                steps = np.full(max(n + 1, 2 * size) - size + 1, latency)
-                steps[0] = instants[-1]
-                tail = np.add.accumulate(steps)[1:]
-                instants = np.concatenate((instants, tail))
-            return float(instants[n])
-
-        def first_pass(at: float, offset: int, side: str = "left") -> int:
-            """Pass of the first poll at ``offset`` (1..count) at or
-            (``side="right"``) after ``at``."""
-            n = int(instants.searchsorted(at, side))
-            while n == len(instants):
-                instant(n + count + int((at - instants[-1]) / latency))
-                n = int(instants.searchsorted(at, side))
-            n = max(n, 1)
-            return (n + (offset - n) % count - 1) // count
-
-        watching = [(task, n + 1) for n, task in enumerate(pending)]
+        instants = _PollInstants(self._now, latency)
+        watching = [(task, n) for n, task in enumerate(pending, 1)]
         watching += [(task, count) for task in eager]
         flip = stop = inf  # first non-quiet pass: by a finish / the deadline
+        early = None  # no advance yet; then: did it stop at the deadline?
         while True:
-            for task, offset in watching:
+            # One read of each watched task's state per advance.
+            unfinished = []
+            for entry in watching:
+                task = entry[0]
                 if task.finished:
-                    flip = min(flip, first_pass(task.last_end, offset))
-            watching = [entry for entry in watching if not entry[0].finished]
+                    flip = min(
+                        flip,
+                        instants.first_pass(task.last_end, entry[1], count),
+                    )
+                else:
+                    unfinished.append(entry)
+            if early is not None and len(unfinished) == len(watching):
+                # The last advance finished no watched task.
+                if not early:
+                    break
+                stop = instants.first_pass(deadline, count, count, "right") + 1
+            watching = unfinished
             end = min(stop, flip + 1)
-            horizon = instant(end * count) if end < inf else inf
+            horizon = instants.at(end * count) if end < inf else inf
             early = stop == inf and horizon > deadline  # not yet located
             self._advance_to(
                 deadline if early else horizon,
-                stop=tuple(task for task, _ in watching),
+                stop=tuple([entry[0] for entry in watching]),
             )
-            if any(task.finished for task, _ in watching):
-                continue
-            if not early:
-                break
-            stop = first_pass(deadline, count, "right") + 1
         covered = min(flip, stop)
         if covered == inf:
             raise EngineError("poll loop is stuck: no watched task can finish")
-        self._now = instant(covered * count)
+        polls = covered * count
+        self._now = instants.at(polls)
         if self.tracer.enabled:
-            for n, at in enumerate(instants[1 : covered * count + 1].tolist()):
+            for n, at in enumerate(instants.series(polls)):
                 self._trace_poll(pending[n % count], at, False)
         return covered
 

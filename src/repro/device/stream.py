@@ -111,23 +111,34 @@ class StreamPool:
             Stream(engine, f"{prefix}-{i}") for i in range(capacity)
         ]
         self._leased: int = 0
+        #: Acquirers blocked in ``wait_for``: a release notifies only
+        #: while there is one.
+        self._waiting: int = 0
         self._cond = threading.Condition()
 
     def acquire(self, timeout: Optional[float] = None) -> Stream:
         """Lease a stream, blocking until one frees up.
 
-        Raises :class:`StreamError` when ``timeout`` (seconds) elapses
-        first — serving callers surface that as an admission failure
-        rather than deadlocking the client thread.
+        A free stream is taken at once; only a caller that finds none
+        waits on the condition.  Raises :class:`StreamError` when
+        ``timeout`` (seconds) elapses first — serving callers surface
+        that as an admission failure rather than deadlocking the client
+        thread.
         """
         with self._cond:
-            if not self._cond.wait_for(
-                lambda: bool(self._free), timeout=timeout
-            ):
-                raise StreamError(
-                    f"no stream available after {timeout}s "
-                    f"({self._leased}/{self.capacity} leased)"
-                )
+            if not self._free:
+                self._waiting += 1
+                try:
+                    free = self._cond.wait_for(
+                        self._free.__len__, timeout=timeout
+                    )
+                finally:
+                    self._waiting -= 1
+                if not free:
+                    raise StreamError(
+                        f"no stream available after {timeout}s "
+                        f"({self._leased}/{self.capacity} leased)"
+                    )
             stream = self._free.pop()
             self._leased += 1
             return stream
@@ -138,7 +149,8 @@ class StreamPool:
             stream.tasks.clear()
             self._free.append(stream)
             self._leased -= 1
-            self._cond.notify()
+            if self._waiting:
+                self._cond.notify()
 
     @property
     def in_flight(self) -> int:

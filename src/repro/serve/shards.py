@@ -16,15 +16,19 @@ save/load.
 On disk a sharded store is a directory::
 
     store/
-      store.meta.json    # schema version, shard count, quarantine/drift/
-                         # predict side-state (always rewritten)
+      store.meta.json    # schema version, shard count, how long ago each
+                         # shard file was written, quarantine/drift/
+                         # predict side-state (always rewritten, last)
       shard-0000.json    # entries whose crc32(key) % count == 0
       shard-0001.json    # ... written only when dirty, atomically
 
 Save semantics: each shard file is written with the same temp-file +
 rename atomicity as the single-file store, and **only dirty shards** are
 rewritten — a 64-client fleet that touched 3 shards since the last
-checkpoint writes 3 files, not the whole map.  Load semantics
+checkpoint writes 3 files, not the whole map.  Entry ages in a shard file
+are relative to the time it was written, so the meta (written last)
+records how long before the checkpoint each shard file was written, and
+a restart ages the entries of a skipped file by that much.  Load semantics
 (*merge-on-load*): every ``shard-*.json`` in the directory is read and
 the union re-hashed into the current layout, so a store saved with 8
 shards loads fine with 4 or 16; duplicate keys (possible after a layout
@@ -60,6 +64,7 @@ from .store import (
     _atomic_write_json,
     _check_versions,
     _read_document,
+    _section,
     _Shard,
 )
 
@@ -69,6 +74,11 @@ DEFAULT_SHARDS = 8
 
 #: File name of the side-state / layout document inside a store directory.
 META_FILENAME = "store.meta.json"
+
+#: Meta section mapping each shard file's name to how long before the
+#: checkpoint it was written (clock seconds): its entries' ages are
+#: relative to that earlier instant.
+_WRITTEN_AGO = "shard_written_ago"
 
 
 def shard_filename(index: int) -> str:
@@ -108,6 +118,10 @@ class ShardedSelectionStore(SelectionStore):
         )
         self.shard_count = shards
         self._shards.extend(_Shard() for _ in range(shards - 1))
+        #: Per shard, the file it was last written to (or loaded from)
+        #: and the clock time its entries' ages are relative to; a clean
+        #: shard skips only that file.
+        self._written: List[Optional[Tuple[str, float]]] = [None] * shards
 
     def shard_index(self, key: str) -> int:
         """Which shard owns a workload-class key."""
@@ -128,35 +142,52 @@ class ShardedSelectionStore(SelectionStore):
     def save(self, path: str, only_dirty: bool = True) -> None:
         """Checkpoint into directory ``path``.
 
-        The meta document (shard layout + quarantine/drift/predict side
-        state) is always rewritten; shard files are rewritten only when
-        dirty (or missing on disk), each with the single-file store's
-        temp-file + atomic-rename discipline.  Pass ``only_dirty=False``
-        to force a full rewrite.
+        Shard files are rewritten only when dirty, or when this store
+        did not write (or load) that very file, each with the
+        single-file store's temp-file + atomic-rename discipline; pass
+        ``only_dirty=False`` to force a full rewrite.  The meta document
+        (shard layout, how long ago each shard file was written, and the
+        quarantine/drift/predict side state) is always rewritten, after
+        the shards: a crash in between leaves the older meta, which can
+        make rewritten entries look older after a restart, never younger.
         """
         os.makedirs(path, exist_ok=True)
-        meta: Dict[str, object] = {
-            "schema_version": SCHEMA_VERSION,
-            "layout": "sharded",
-            "shard_count": self.shard_count,
-        }
-        meta.update(self.side_payloads())
-        _atomic_write_json(os.path.join(path, META_FILENAME), meta)
+        now = self._clock()
+        written_ago: Dict[str, float] = {}
         for index, shard in enumerate(self._shards):
-            target = os.path.join(path, shard_filename(index))
+            name = shard_filename(index)
+            target = os.path.abspath(os.path.join(path, name))
             # Clear-before-serialize: a publish racing this save flips
             # the flag back on and the *next* checkpoint rewrites the
             # shard, so no mutation is ever silently lost.
             was_dirty, shard.dirty = shard.dirty, False
-            if only_dirty and not was_dirty and os.path.exists(target):
+            written = self._written[index]
+            if (
+                only_dirty
+                and not was_dirty
+                and written is not None
+                and written[0] == target
+                and os.path.exists(target)
+            ):
+                written_ago[name] = max(0.0, now - written[1])
                 continue
             doc = {
                 "schema_version": SCHEMA_VERSION,
                 "shard_index": index,
                 "shard_count": self.shard_count,
-                "entries": self._shard_payloads(shard, self._clock()),
+                "entries": self._shard_payloads(shard, now),
             }
             _atomic_write_json(target, doc)
+            self._written[index] = (target, now)
+            written_ago[name] = 0.0
+        meta: Dict[str, object] = {
+            "schema_version": SCHEMA_VERSION,
+            "layout": "sharded",
+            "shard_count": self.shard_count,
+            _WRITTEN_AGO: written_ago,
+        }
+        meta.update(self.side_payloads())
+        _atomic_write_json(os.path.join(path, META_FILENAME), meta)
 
     @classmethod
     def load(
@@ -250,15 +281,51 @@ class ShardedSelectionStore(SelectionStore):
             decay_grace=decay_grace,
             predict=predict,
         )
+        source = f"sharded store meta {meta_path!r}"
+        written_ago = _written_ago(meta, docs, source)
+        # Read before the entries are aged, so a skipped file's entries
+        # can only come out older at the next restart.
+        loaded_at = store._clock()
         store._restore(
-            "selection store shard",
-            docs,
-            meta,
-            f"sharded store meta {meta_path!r}",
+            "selection store shard", docs, meta, source, written_ago
         )
         if saved_count != store.shard_count:
             # The on-disk layout no longer matches: force a full rewrite
             # at the next checkpoint so stale shard files cannot linger.
             for shard in store._shards:
                 shard.dirty = True
+            return store
+        # Each shard file read back is the one its shard owns: a clean
+        # shard may skip it, aged from when it was written.
+        read = {shard_path for shard_path, _ in docs}
+        for index in range(store.shard_count):
+            shard_path = os.path.join(path, shard_filename(index))
+            if shard_path in read:
+                store._written[index] = (
+                    os.path.abspath(shard_path),
+                    loaded_at - written_ago.get(shard_path, 0.0),
+                )
         return store
+
+
+def _written_ago(
+    meta: Dict[str, object],
+    docs: List[Tuple[str, Dict[str, object]]],
+    source: str,
+) -> Dict[str, float]:
+    """How long before the checkpoint each read shard file was written,
+    by path, from the meta's record (empty for metas without one)."""
+    record = _section(meta, _WRITTEN_AGO, source) or {}
+    ages: Dict[str, float] = {}
+    for shard_path, _ in docs:
+        name = os.path.basename(shard_path)
+        ago = record.get(name, 0.0)
+        number = isinstance(ago, (int, float)) and not isinstance(ago, bool)
+        if not (number and 0.0 <= ago < float("inf")):
+            raise StoreError(
+                f"{source} is corrupt: {_WRITTEN_AGO!r} of {name!r} is "
+                f"{ago!r}"
+            )
+        if ago:
+            ages[shard_path] = float(ago)
+    return ages

@@ -668,16 +668,20 @@ class SelectionStore:
         docs: List[Tuple[str, Dict[str, object]]],
         side: Dict[str, object],
         source: str,
+        written_ago: Optional[Dict[str, float]] = None,
     ) -> None:
         """Fill a new store from parsed snapshot documents.
 
         ``docs`` are ``(path, document)`` pairs holding ``entries`` lists
         (the freshest copy of a key wins); ``side`` holds the quarantine,
         drift and predict sections.  ``what`` and ``source`` name them in
-        errors.  A drift or predict section arms its subsystem even when
-        the caller did not (drift with default tuning, the predictor with
-        the snapshot's own config), so persisted state is never silently
-        dropped; an armed predictor keeps the caller's tuning.
+        errors.  ``written_ago`` maps a document's path to how long
+        before the snapshot it was written: its entries' ages are
+        relative to that earlier instant.  A drift or predict section
+        arms its subsystem even when the caller did not (drift with
+        default tuning, the predictor with the snapshot's own config), so
+        persisted state is never silently dropped; an armed predictor
+        keeps the caller's tuning.
         """
         now = self._clock()
         merged: Dict[str, StoreEntry] = {}
@@ -688,8 +692,9 @@ class SelectionStore:
                     f"{what} {path!r} is corrupt: 'entries' is "
                     f"{type(entries).__name__}, expected a list"
                 )
+            written_at = now - (written_ago or {}).get(path, 0.0)
             for raw in entries:
-                entry = parse_entry(raw, now, path)
+                entry = parse_entry(raw, written_at, path)
                 kept = merged.get(entry.key)
                 if kept is None or entry.recorded_at >= kept.recorded_at:
                     merged[entry.key] = entry

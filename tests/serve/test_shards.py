@@ -361,3 +361,183 @@ class TestSchedulerIntegration:
         assert serve(SelectionStore()) == serve(
             ShardedSelectionStore(shards=4)
         )
+
+
+class FakeClock:
+    """Injectable time source the tests move by hand."""
+
+    def __init__(self, now: float = 0.0) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def checkpoint_store(layout, clock, ttl=None):
+    """A file store or a four-shard store on ``clock``."""
+    if layout == "file":
+        return SelectionStore(ttl=ttl, clock=clock)
+    return ShardedSelectionStore(shards=4, ttl=ttl, clock=clock)
+
+
+def checkpoint_path(layout, tmp_path):
+    return str(tmp_path / ("store.json" if layout == "file" else "store"))
+
+
+def reload(layout, path, clock, ttl=None):
+    store_cls = SelectionStore if layout == "file" else ShardedSelectionStore
+    return store_cls.load(path, ttl=ttl, clock=clock)
+
+
+class TestCheckpointAges:
+    """A dirty-only checkpoint skips a clean shard file, whose entry ages
+    are relative to when it was written; the meta records how long ago
+    that was, so a restart ages the entries as a full rewrite would."""
+
+    @pytest.mark.parametrize("layout", ["file", "sharded"])
+    def test_clean_shard_entries_keep_their_age(self, layout, tmp_path):
+        clock = FakeClock(0.0)
+        store = checkpoint_store(layout, clock, ttl=100.0)
+        store.publish(KEYS[0], kernel="k", selected="v", cycles_per_unit=1.0)
+        path = checkpoint_path(layout, tmp_path)
+        store.save(path)
+        clock.now = 90.0
+        store.save(path)  # the sharded layout skips the clean shard
+        fresh = FakeClock(5000.0)
+        loaded = reload(layout, path, fresh, ttl=100.0)
+        assert 5000.0 - loaded.peek(KEYS[0]).recorded_at == 90.0
+        fresh.now += 5.0
+        assert loaded.lookup(KEYS[0]) is not None  # 95 s old
+        fresh.now += 15.0
+        assert loaded.lookup(KEYS[0]) is None  # 110 s old
+
+    @pytest.mark.parametrize("layout", ["file", "sharded"])
+    def test_ages_accumulate_across_restarts(self, layout, tmp_path):
+        """Load, wait, checkpoint again without touching the entry, and
+        load once more: the skipped file's age keeps growing."""
+        clock = FakeClock(0.0)
+        store = checkpoint_store(layout, clock)
+        store.publish(KEYS[0], kernel="k", selected="v", cycles_per_unit=1.0)
+        path = checkpoint_path(layout, tmp_path)
+        store.save(path)
+        clock.now = 40.0
+        store.save(path)
+        second = FakeClock(1000.0)
+        restarted = reload(layout, path, second)
+        second.now += 25.0
+        restarted.save(path)
+        third = FakeClock(7.0)
+        again = reload(layout, path, third)
+        assert 7.0 - again.peek(KEYS[0]).recorded_at == 65.0
+
+    @pytest.mark.parametrize("layout", ["file", "sharded"])
+    def test_decay_deadline_counts_down_in_clean_shards(
+        self, layout, tmp_path
+    ):
+        clock = FakeClock(0.0)
+        store = checkpoint_store(layout, clock)
+        store.publish(KEYS[0], kernel="k", selected="v", cycles_per_unit=1.0)
+        clock.now = 10.0
+        assert store.decay(KEYS[0], grace=100.0)  # expires at t=110
+        path = checkpoint_path(layout, tmp_path)
+        store.save(path)
+        clock.now = 60.0
+        store.save(path)
+        fresh = FakeClock(500.0)
+        loaded = reload(layout, path, fresh)
+        entry = loaded.peek(KEYS[0])
+        assert entry.decay_at - 500.0 == 50.0
+        assert 500.0 - entry.recorded_at == 60.0
+
+    def test_meta_without_the_record_loads_file_ages(self, tmp_path):
+        """Checkpoints written before the record existed load as they
+        always did: ages as the shard files hold them."""
+        clock = FakeClock(0.0)
+        store = ShardedSelectionStore(shards=4, clock=clock)
+        store.publish(KEYS[0], kernel="k", selected="v", cycles_per_unit=1.0)
+        path = str(tmp_path / "store")
+        store.save(path)
+        clock.now = 90.0
+        store.save(path)
+        meta_path = os.path.join(path, META_FILENAME)
+        meta = json.load(open(meta_path))
+        assert meta.pop("shard_written_ago")
+        json.dump(meta, open(meta_path, "w"))
+        loaded = ShardedSelectionStore.load(path, clock=FakeClock(500.0))
+        assert 500.0 - loaded.peek(KEYS[0]).recorded_at == 0.0
+
+    def test_corrupt_record_rejected(self, tmp_path):
+        path = str(tmp_path / "store")
+        store = ShardedSelectionStore(shards=2)
+        publish_all(store, KEYS[:4])
+        store.save(path)
+        meta_path = os.path.join(path, META_FILENAME)
+        meta = json.load(open(meta_path))
+        meta["shard_written_ago"][shard_filename(0)] = -1.0
+        json.dump(meta, open(meta_path, "w"))
+        with pytest.raises(StoreError, match="shard_written_ago"):
+            ShardedSelectionStore.load(path)
+
+    def test_store_rewrites_a_file_it_did_not_write(self, tmp_path):
+        """A clean shard skips only the file it was written to: saving to
+        a second directory in between does not leave the first one's
+        file behind with older contents."""
+        clock = FakeClock(0.0)
+        store = ShardedSelectionStore(shards=1, clock=clock)
+        first, second = str(tmp_path / "a"), str(tmp_path / "b")
+        store.publish(KEYS[0], kernel="k", selected="old", cycles_per_unit=1.0)
+        store.save(first)
+        store.publish(KEYS[0], kernel="k", selected="new", cycles_per_unit=1.0)
+        store.save(second)
+        store.save(first)  # clean, but first/ holds the older contents
+        loaded = ShardedSelectionStore.load(first, clock=clock)
+        assert loaded.peek(KEYS[0]).selected == "new"
+
+    @pytest.mark.parametrize("crash_at", range(5))
+    def test_crash_mid_checkpoint_never_makes_entries_younger(
+        self, crash_at, tmp_path, monkeypatch
+    ):
+        """Kill the second checkpoint at each file write: a reload ages
+        every entry on disk at least as much as that version of it had
+        aged at the instant of the meta left on disk."""
+        from repro.serve import shards as shards_mod
+
+        clock = FakeClock(0.0)
+        store = ShardedSelectionStore(shards=4, clock=clock)
+        owners = {}
+        for key in KEYS:
+            owners.setdefault(store.shard_index(key), key)
+        born = {}  # (key, selected) -> publish time
+        for key in owners.values():
+            store.publish(key, kernel="k", selected="v", cycles_per_unit=1.0)
+            born[key, "v"] = 0.0
+        path = str(tmp_path / "store")
+        store.save(path)
+        first_meta = open(os.path.join(path, META_FILENAME)).read()
+        clock.now = 90.0
+        hot = owners[0]
+        store.publish(hot, kernel="k", selected="w", cycles_per_unit=2.0)
+        born[hot, "w"] = 90.0
+        writes = []
+        write = shards_mod._atomic_write_json
+
+        def crashing_write(target, doc):
+            if len(writes) == crash_at:
+                raise OSError("crash")
+            writes.append(target)
+            write(target, doc)
+
+        monkeypatch.setattr(shards_mod, "_atomic_write_json", crashing_write)
+        try:
+            store.save(path)
+        except OSError:
+            pass
+        monkeypatch.undo()
+        meta = open(os.path.join(path, META_FILENAME)).read()
+        instant = 0.0 if meta == first_meta else 90.0
+        fresh = FakeClock(1000.0)
+        loaded = ShardedSelectionStore.load(path, clock=fresh)
+        for key in owners.values():
+            entry = loaded.peek(key)
+            age = 1000.0 - entry.recorded_at
+            assert age >= instant - born[key, entry.selected], (key, writes)
