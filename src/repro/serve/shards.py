@@ -28,9 +28,12 @@ rewritten — a 64-client fleet that touched 3 shards since the last
 checkpoint writes 3 files, not the whole map.  Entry ages in a shard file
 are relative to the time it was written, so the meta (written last)
 records how long before the checkpoint each shard file was written, and
-a restart ages the entries of a skipped file by that much.  Load semantics
-(*merge-on-load*): every ``shard-*.json`` in the directory is read and
-the union re-hashed into the current layout, so a store saved with 8
+a restart ages the entries of a skipped file by that much.  That record
+also names every file of the checkpoint: once the meta is written, shard
+files outside the layout (left by a larger one) are removed.  Load
+semantics (*merge-on-load*): every shard file the meta names — every
+``shard-*.json`` in the directory when the meta has no record — is read
+and the union re-hashed into the current layout, so a store saved with 8
 shards loads fine with 4 or 16; duplicate keys (possible after a layout
 change mid-crash) keep the freshest entry by recorded age.  Shards that
 declare **mixed schema versions** are rejected with a structured
@@ -150,6 +153,9 @@ class ShardedSelectionStore(SelectionStore):
         quarantine/drift/predict side state) is always rewritten, after
         the shards: a crash in between leaves the older meta, which can
         make rewritten entries look older after a restart, never younger.
+        Shard files outside the layout are removed after the meta is
+        written; a crash before that leaves them to a load that skips
+        them, as the meta does not name them.
         """
         os.makedirs(path, exist_ok=True)
         now = self._clock()
@@ -188,6 +194,11 @@ class ShardedSelectionStore(SelectionStore):
         }
         meta.update(self.side_payloads())
         _atomic_write_json(os.path.join(path, META_FILENAME), meta)
+        # The meta names the checkpoint's files: the rest, left by a
+        # larger layout, would bring back entries removed since.
+        for name in os.listdir(path):
+            if _is_shard_file(name) and name not in written_ago:
+                os.remove(os.path.join(path, name))
 
     @classmethod
     def load(
@@ -203,7 +214,10 @@ class ShardedSelectionStore(SelectionStore):
     ) -> "ShardedSelectionStore":
         """Merge-on-load a directory written by :meth:`save`.
 
-        ``shards`` overrides the layout (defaults to the saved
+        Only the shard files the meta's ``shard_written_ago`` record
+        names are read (every ``shard-*.json`` when the meta or its
+        record is missing), so files a larger layout left behind stay
+        unread.  ``shards`` overrides the layout (defaults to the saved
         ``shard_count``, or one shard per shard file when the meta is
         missing); entries are re-hashed into the requested layout, so
         growing or shrinking the shard count is just a load + save away.
@@ -231,11 +245,6 @@ class ShardedSelectionStore(SelectionStore):
             raise StoreError(
                 f"cannot read sharded selection store {path!r}: {exc}"
             )
-        shard_names = [
-            n
-            for n in names
-            if n.startswith("shard-") and n.endswith(".json")
-        ]
         meta: Dict[str, object] = {}
         versions: Dict[str, object] = {}
         meta_path = os.path.join(path, META_FILENAME)
@@ -250,6 +259,13 @@ class ShardedSelectionStore(SelectionStore):
             if meta_doc is not None:
                 meta = meta_doc
                 versions[meta_path] = meta_doc["schema_version"]
+        source = f"sharded store meta {meta_path!r}"
+        record = _section(meta, _WRITTEN_AGO, source)
+        shard_names = [
+            n
+            for n in names
+            if _is_shard_file(n) and (record is None or n in record)
+        ]
         # Parse every shard document *before* interpreting any entry, so
         # version agreement is judged over the whole directory.
         docs: List[Tuple[str, Dict[str, object]]] = []
@@ -281,8 +297,7 @@ class ShardedSelectionStore(SelectionStore):
             decay_grace=decay_grace,
             predict=predict,
         )
-        source = f"sharded store meta {meta_path!r}"
-        written_ago = _written_ago(meta, docs, source)
+        written_ago = _written_ago(record or {}, docs, source)
         # Read before the entries are aged, so a skipped file's entries
         # can only come out older at the next restart.
         loaded_at = store._clock()
@@ -308,14 +323,18 @@ class ShardedSelectionStore(SelectionStore):
         return store
 
 
+def _is_shard_file(name: str) -> bool:
+    """Whether a directory entry is named like a shard file."""
+    return name.startswith("shard-") and name.endswith(".json")
+
+
 def _written_ago(
-    meta: Dict[str, object],
+    record: Dict[str, object],
     docs: List[Tuple[str, Dict[str, object]]],
     source: str,
 ) -> Dict[str, float]:
     """How long before the checkpoint each read shard file was written,
     by path, from the meta's record (empty for metas without one)."""
-    record = _section(meta, _WRITTEN_AGO, source) or {}
     ages: Dict[str, float] = {}
     for shard_path, _ in docs:
         name = os.path.basename(shard_path)

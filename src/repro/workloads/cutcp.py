@@ -16,16 +16,19 @@ It appears in:
   optimized version wins on GPU and loses on CPU.
 
 The **workload unit** is a 16×4×2 block of lattice points.  Atom
-neighbour lists are precomputed with a KD-tree so the executor performs
-the real potential summation.
+neighbour lists are precomputed as Parboil bins its atoms: into
+``CUTOFF``-wide cells, each lattice point testing the atoms of its
+cell's 3×3×3 neighbourhood (the IR's ``BINS_PER_POINT``), a bounded
+chunk of candidate pairs at a time.  The executor then performs the real
+potential summation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Tuple
+import itertools
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..compiler.transforms.schedule import reorder_loops, schedule_label
 from ..compiler.transforms.tile import tile_scratchpad
@@ -57,6 +60,9 @@ CUTOFF = 4.0
 #: enough that the paper profiles it fully-productively.
 BINS_PER_POINT = 27
 ATOMS_PER_BIN = 6
+#: Candidate (point, atom) pairs the neighbour search tests per pass: its
+#: index, coordinate and distance arrays stay a few MB on any lattice.
+PAIR_CHUNK = 1 << 16
 
 
 def cutcp_signature() -> KernelSignature:
@@ -74,9 +80,12 @@ def cutcp_signature() -> KernelSignature:
 class _Geometry:
     """Precomputed neighbour lists: which atoms affect which point.
 
-    Stored CSR-style (``point_ptr``/``atom_index``/``contribution``), so
-    the executor is a segmented float32 sum — the real physics, computed
-    once per input and replayed per launch.
+    Stored CSR-style (``point_ptr`` delimits each point's run of
+    ``contribution``), so the executor is a segmented float32 sum — the
+    real physics, computed once per input and replayed per launch.  The
+    contributions are computed a chunk of points at a time, as
+    :func:`_neighbour_chunks` yields them, so the distance temporaries
+    stay bounded on any lattice.
     """
 
     def __init__(
@@ -90,8 +99,36 @@ class _Geometry:
         box = np.array([nx, ny, nz], dtype=np.float64)
         positions = rng.uniform(0.0, 1.0, size=(num_atoms, 3)) * box
         charges = rng.uniform(-1.0, 1.0, size=num_atoms).astype(np.float32)
+        points = self._lattice_points(lattice)
 
-        # Lattice points in unit-block order (z-block, y-block, x-block).
+        counts = np.zeros(len(points), dtype=np.int64)
+        parts = []
+        for p0, p1, chunk_counts, flat in _neighbour_chunks(positions, points):
+            counts[p0:p1] = chunk_counts
+            deltas = positions[flat] - np.repeat(
+                points[p0:p1], chunk_counts, axis=0
+            )
+            distances = np.sqrt(np.sum(deltas * deltas, axis=1))
+            distances = np.maximum(distances, 0.25)
+            # Shifted Coulomb kernel: q * (1/r - 1/rc), zero at the cutoff.
+            parts.append(
+                (charges[flat] * (1.0 / distances - 1.0 / CUTOFF)).astype(
+                    np.float32
+                )
+            )
+        self.point_ptr = np.zeros(len(points) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.point_ptr[1:])
+        self.contribution = (
+            np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)
+        )
+        self.lattice = lattice
+        self.num_points = len(points)
+
+    @staticmethod
+    def _lattice_points(lattice: Tuple[int, int, int]) -> np.ndarray:
+        """Lattice point coordinates in unit-block order (z-block,
+        y-block, x-block), one float64 row per point."""
+        nx, ny, nz = lattice
         xs, ys, zs = np.meshgrid(
             np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
         )
@@ -99,30 +136,7 @@ class _Geometry:
             [xs.ravel(order="F"), ys.ravel(order="F"), zs.ravel(order="F")],
             axis=1,
         ).astype(np.float64)
-        order = self._unit_order(lattice)
-        points = points[order]
-
-        tree = cKDTree(positions)
-        neighbour_lists = tree.query_ball_point(points, CUTOFF)
-        counts = np.fromiter(
-            (len(lst) for lst in neighbour_lists),
-            dtype=np.int64,
-            count=len(neighbour_lists),
-        )
-        self.point_ptr = np.zeros(len(points) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.point_ptr[1:])
-        flat = np.concatenate(
-            [np.asarray(lst, dtype=np.int64) for lst in neighbour_lists]
-        ) if len(points) else np.zeros(0, dtype=np.int64)
-        deltas = positions[flat] - np.repeat(points, counts, axis=0)
-        distances = np.sqrt(np.sum(deltas * deltas, axis=1))
-        distances = np.maximum(distances, 0.25)
-        # Shifted Coulomb kernel: q * (1/r - 1/rc), zero at the cutoff.
-        self.contribution = (
-            charges[flat] * (1.0 / distances - 1.0 / CUTOFF)
-        ).astype(np.float32)
-        self.lattice = lattice
-        self.num_points = len(points)
+        return points[_Geometry._unit_order(lattice)]
 
     @staticmethod
     def _unit_order(lattice: Tuple[int, int, int]) -> np.ndarray:
@@ -150,6 +164,91 @@ class _Geometry:
         point_ids = np.repeat(np.arange(self.num_points), counts)
         np.add.at(out, point_ids, self.contribution)
         return out
+
+
+def _neighbour_chunks(
+    positions: np.ndarray, points: np.ndarray
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """The atoms within ``CUTOFF`` of each lattice point, in chunks.
+
+    Yields ``(p0, p1, counts, atoms)`` for consecutive runs of points:
+    ``counts[i]`` atoms lie in range of point ``p0 + i``, and ``atoms``
+    lists their indices point by point.  Exactness rules, under which
+    the lists equal ``scipy.spatial.cKDTree(positions)
+    .query_ball_point(points, CUTOFF)``'s:
+
+    * Atom ``a`` is a neighbour of point ``p`` iff ``(dx*dx + dy*dy) +
+      dz*dz <= CUTOFF*CUTOFF`` in float64, summed in that order, with
+      ``dx = a_x - p_x`` (the sign does not change the square).
+    * Each point's atoms come in ascending index order.
+    * Cells are ``CUTOFF`` wide, so the 3×3×3 cells around a point's
+      own cover its ball.  Lattice points sit on integer coordinates
+      and atoms on nonnegative ones.  Rounding can put an atom two cells
+      away exactly on the cutoff for one float only (with ``CUTOFF =
+      4``, ``p_x - a_x`` is ``4.0`` for ``a_x = 4 - 2**-51`` and ``p_x =
+      8``), so atoms are binned by the next float up: that one, like any
+      coordinate just below a face, moves into the cell above, still
+      next to every point it can reach.
+
+    Each pass tests at most ``PAIR_CHUNK`` candidate pairs (or one
+    point's candidates, if more), so its temporaries stay bounded.
+    """
+    num_atoms, num_points = len(positions), len(points)
+    atom_cells = np.floor(
+        np.nextafter(positions, np.inf) / CUTOFF
+    ).astype(np.int64)
+    point_cells = np.floor(points / CUTOFF).astype(np.int64)
+    shape = (
+        np.maximum(
+            atom_cells.max(axis=0, initial=0),
+            point_cells.max(axis=0, initial=0),
+        )
+        + 1
+    )
+    strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=np.int64)
+    num_cells = int(np.prod(shape))
+
+    # Each atom is a candidate of the 27 cells around its own; one sort
+    # of (cell, atom) keys groups the candidates by cell, each cell's in
+    # ascending atom order.
+    atom_ids = np.arange(num_atoms, dtype=np.int64)
+    keys = []
+    for offset in itertools.product((-1, 0, 1), repeat=3):
+        cells = atom_cells + np.array(offset, dtype=np.int64)
+        inside = np.all((cells >= 0) & (cells < shape), axis=1)
+        keys.append((cells[inside] @ strides) * num_atoms + atom_ids[inside])
+    cand_cell, cand = np.divmod(
+        np.sort(np.concatenate(keys)), max(num_atoms, 1)
+    )
+    cand_ptr = np.zeros(num_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cand_cell, minlength=num_cells), out=cand_ptr[1:])
+    cand_xyz = np.ascontiguousarray(positions[cand].T)
+    point_xyz = np.ascontiguousarray(points.T)
+
+    point_cell = point_cells @ strides
+    per_point = cand_ptr[point_cell + 1] - cand_ptr[point_cell]
+    pair_end = np.cumsum(per_point)
+    p0 = 0
+    while p0 < num_points:
+        base = int(pair_end[p0 - 1]) if p0 else 0
+        p1 = max(
+            p0 + 1,
+            int(np.searchsorted(pair_end, base + PAIR_CHUNK, side="right")),
+        )
+        k = per_point[p0:p1]
+        ends = pair_end[p0:p1] - base
+        # Pair j of the chunk tests candidate cand[idx[j]].
+        idx = np.repeat(cand_ptr[point_cell[p0:p1]] - (ends - k), k)
+        idx += np.arange(len(idx))
+        d = np.take(cand_xyz, idx, axis=1)
+        d -= np.repeat(point_xyz[:, p0:p1], k, axis=1)
+        d *= d
+        dist2 = d[0] + d[1]
+        dist2 += d[2]
+        hits = np.flatnonzero(dist2 <= CUTOFF * CUTOFF)
+        counts = np.diff(np.searchsorted(hits, ends), prepend=0)
+        yield p0, p1, counts, cand[idx[hits]]
+        p0 = p1
 
 
 def _executor(args: Mapping[str, object], unit_start: int, unit_end: int) -> None:
@@ -263,8 +362,6 @@ def tiled_variant(device_kind: str) -> KernelVariant:
 
 def legal_orders() -> List[Tuple[str, ...]]:
     """The 60 legal loop orders (atom stays inside its bin loop)."""
-    import itertools
-
     names = ("wi_z", "wi_y", "wi_x", "bin", "atom")
     orders = []
     for order in itertools.permutations(names):

@@ -167,6 +167,74 @@ class TestSaveLoad:
             ShardedSelectionStore.load(str(tmp_path / "missing"))
 
 
+class TestLayoutShrink:
+    """Saving into fewer shards than the directory held: the files of the
+    larger layout must not bring back entries removed since."""
+
+    MANY = [f"k|cpu|units^2={i}" for i in range(40)]
+
+    def shrunk_and_emptied(self, path):
+        store = ShardedSelectionStore(shards=16)
+        publish_all(store, self.MANY)
+        store.save(path)
+        small = ShardedSelectionStore.load(path, shards=4)
+        assert small.invalidate_kernel("k") == len(self.MANY)
+        return small
+
+    @staticmethod
+    def shard_files(path):
+        return sorted(n for n in os.listdir(path) if n.startswith("shard-"))
+
+    def test_invalidated_entries_stay_gone(self, tmp_path):
+        path = str(tmp_path / "store")
+        self.shrunk_and_emptied(path).save(path)
+        assert self.shard_files(path) == [shard_filename(i) for i in range(4)]
+        assert len(ShardedSelectionStore.load(path)) == 0
+
+    def test_crash_before_stale_files_are_removed(self, tmp_path, monkeypatch):
+        """The meta is written, the larger layout's files are not yet
+        removed: a load reads only the files the meta names, and its
+        next checkpoint removes the rest."""
+        path = str(tmp_path / "store")
+        small = self.shrunk_and_emptied(path)
+
+        def crash(target):
+            raise OSError("crash")
+
+        monkeypatch.setattr(os, "remove", crash)
+        with pytest.raises(OSError, match="crash"):
+            small.save(path)
+        monkeypatch.undo()
+        assert len(self.shard_files(path)) == 16
+        loaded = ShardedSelectionStore.load(path)
+        assert len(loaded) == 0
+        assert loaded.shard_count == 4
+        loaded.save(path)
+        assert self.shard_files(path) == [shard_filename(i) for i in range(4)]
+        assert len(ShardedSelectionStore.load(path)) == 0
+
+    def test_meta_without_the_record_reads_every_file(self, tmp_path):
+        """Checkpoints from before the record keep merge-on-load over
+        every shard file in the directory."""
+        path = str(tmp_path / "store")
+        store = ShardedSelectionStore(shards=4)
+        publish_all(store)
+        store.save(path)
+        meta_path = os.path.join(path, META_FILENAME)
+        meta = json.load(open(meta_path))
+        del meta["shard_written_ago"]
+        json.dump(meta, open(meta_path, "w"))
+        stray = ShardedSelectionStore(shards=1)
+        stray.publish("k|cpu|stray", kernel="k", selected="v", cycles_per_unit=1.0)
+        stray.save(str(tmp_path / "other"))
+        os.replace(
+            os.path.join(str(tmp_path / "other"), shard_filename(0)),
+            os.path.join(path, shard_filename(9)),
+        )
+        assert set(ShardedSelectionStore.load(path).keys()) == set(KEYS) | {
+            "k|cpu|stray"
+        }
+
 class TestSchemaRejection:
     def save_store(self, tmp_path, shards=4):
         path = str(tmp_path / "store")
