@@ -1,11 +1,12 @@
-"""Engine benchmark: the event loop vs the analytic drain.
+"""Engine benchmark: dispatch in runs vs the per-work-group reference.
 
-Times the same workloads through the engine's two scheduling paths — the
-per-work-group event loop and the analytic fast-batch drain — and
-measures the cost-kernel memo's warm hit rate.  Both paths are
-bit-identical by construction (the equivalence suite proves it); this
-benchmark shows what that equivalence buys and gates against
-regressions (written to ``BENCH_engine.json``):
+Times the same workloads through the engine's dispatcher, which sends
+work-groups out in runs, and through the per-work-group event loop it
+replaced (``tests/device/engine_reference.py``, swapped in for
+``ExecutionEngine._advance_to``), and measures the cost-kernel memo's
+warm hit rate.  Both are bit-identical by construction (the
+equivalence suite proves it); this benchmark shows what the runs buy
+and gates against regressions (written to ``BENCH_engine.json``):
 
 1. **uncontended** — one 64k-work-group noise-free batch.
 2. **contended** — a mixed-priority three-task stream with interleaved
@@ -13,12 +14,12 @@ regressions (written to ``BENCH_engine.json``):
 3. **memo** — repeated launches of one workload class; the warm hit
    rate must be at least 95%.
 
-For (1) and (2) the two paths are timed in ``PAIRS`` back-to-back pairs
-whose order alternates, and the drain must clear ``MIN_SPEEDUP``× the
-event path on the *median per-pair ratio*: both halves of a pair see
+For (1) and (2) the two dispatchers are timed in ``PAIRS`` back-to-back
+pairs whose order alternates, and the runs must clear ``MIN_SPEEDUP``×
+the reference on the *median per-pair ratio*: both halves of a pair see
 the same host speed, so a slow stretch of the machine moves both.
 
-The benchmark also re-asserts exact equality of the two paths'
+The benchmark also re-asserts exact equality of the two dispatchers'
 observables on the workloads it times (a cheap in-situ slice of the
 equivalence harness) and reconciles a traced runtime launch.
 
@@ -34,9 +35,8 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 import numpy as np  # noqa: E402
 
@@ -62,9 +62,10 @@ from repro.kernel import (  # noqa: E402
 )
 from repro.kernel.buffers import Buffer  # noqa: E402
 from repro.obs.export import reconcile, write_chrome_trace  # noqa: E402
+from tests.device.engine_reference import advance_per_work_group  # noqa: E402
 
 #: Acceptance floors (mirrored in EXPERIMENTS.md).  The speedup floor
-#: is on the median per-pair event/drain ratio, for both scenarios on
+#: is on the median per-pair reference/runs ratio, for both scenarios on
 #: full and ``--quick`` inputs alike.
 MIN_SPEEDUP = 2.0
 MIN_MEMO_HIT_RATE = 0.95
@@ -73,12 +74,12 @@ MIN_MEMO_HIT_RATE = 0.95
 FULL_GROUPS = 65536
 QUICK_GROUPS = 8192
 
-#: Timed event/drain pairs per scenario (odd: the median is one pair).
+#: Timed reference/runs pairs per scenario (odd: the median is one pair).
 PAIRS = 9
 
-#: The two paths as ``drain`` forcings; False patches
-#: ``ExecutionEngine._try_fast_batch`` to refuse.
-PATHS = (("event", False), ("fast", True))
+#: The two dispatchers as ``runs`` forcings; False swaps the
+#: per-work-group reference in for ``ExecutionEngine._advance_to``.
+PATHS = (("reference", False), ("runs", True))
 
 ELEMS_PER_UNIT = 8
 
@@ -131,30 +132,25 @@ def make_args(units: int, config: ReproConfig) -> Dict[str, object]:
     }
 
 
-def _never_drain(self, horizon: float) -> bool:
-    """Stand-in drain that refuses, leaving the per-work-group path."""
-    return False
-
-
 class forced_path:
-    """Pin the engine's scheduling path for one measurement."""
+    """Pin the engine's dispatcher for one measurement."""
 
-    def __init__(self, drain: bool) -> None:
-        self.drain = drain
+    def __init__(self, runs: bool) -> None:
+        self.runs = runs
 
     def __enter__(self):
-        self.saved = ExecutionEngine._try_fast_batch
-        if not self.drain:
-            ExecutionEngine._try_fast_batch = _never_drain
+        self.saved = ExecutionEngine._advance_to
+        if not self.runs:
+            ExecutionEngine._advance_to = advance_per_work_group
         return self
 
     def __exit__(self, *exc):
-        ExecutionEngine._try_fast_batch = self.saved
+        ExecutionEngine._advance_to = self.saved
         return False
 
 
 def snapshot(engine, tasks) -> Tuple:
-    """Path-invariant observables for the in-situ equality check."""
+    """Dispatcher-invariant observables for the in-situ equality check."""
     return (
         tuple(
             (
@@ -173,9 +169,9 @@ def snapshot(engine, tasks) -> Tuple:
     )
 
 
-def run_uncontended(groups: int, config: ReproConfig, drain: bool) -> Tuple:
+def run_uncontended(groups: int, config: ReproConfig, runs: bool) -> Tuple:
     """One single-task batch; returns (snapshot, elapsed seconds)."""
-    with forced_path(drain):
+    with forced_path(runs):
         variant = make_variant()
         args = make_args(groups, config)
         engine = ExecutionEngine(make_cpu(config), config)
@@ -188,14 +184,14 @@ def run_uncontended(groups: int, config: ReproConfig, drain: bool) -> Tuple:
         return snapshot(engine, [task]), elapsed
 
 
-def run_contended(groups: int, config: ReproConfig, drain: bool) -> Tuple:
+def run_contended(groups: int, config: ReproConfig, runs: bool) -> Tuple:
     """Mixed-priority three-task stream with interleaved host polls.
 
     Arguments are built before the clock starts, as in
     :func:`run_uncontended`: drawing them is not scheduling work.
     """
     per_task = groups // 3
-    with forced_path(drain):
+    with forced_path(runs):
         variant = make_variant()
         engine = ExecutionEngine(make_cpu(config), config)
         argsets = [make_args(per_task, config) for _ in range(3)]
@@ -221,25 +217,27 @@ def run_contended(groups: int, config: ReproConfig, drain: bool) -> Tuple:
 
 
 def measure_paths(scenario, groups: int, config: ReproConfig):
-    """Time both paths in ``PAIRS`` alternating pairs, checking equality.
+    """Time both dispatchers in ``PAIRS`` alternating pairs, checking
+    equality.
 
-    Returns the best seconds per path and the per-pair event/drain
-    ratios.
+    Returns the best seconds per dispatcher and the per-pair
+    reference/runs ratios.
     """
     timings: Dict[str, List[float]] = {label: [] for label, _ in PATHS}
     snapshots: Dict[str, Tuple] = {}
     for pair in range(PAIRS):
         order = PATHS if pair % 2 == 0 else PATHS[::-1]
-        for label, drain in order:
-            snapshots[label], elapsed = scenario(groups, config, drain)
+        for label, runs in order:
+            snapshots[label], elapsed = scenario(groups, config, runs)
             timings[label].append(elapsed)
-    if snapshots["fast"] != snapshots["event"]:
+    if snapshots["runs"] != snapshots["reference"]:
         raise SystemExit(
-            "equivalence violated: the drain disagrees with the event path "
-            "on the benchmark workload"
+            "equivalence violated: the runs disagree with the per-work-group "
+            "reference on the benchmark workload"
         )
     ratios = [
-        event / fast for event, fast in zip(timings["event"], timings["fast"])
+        reference / runs
+        for reference, runs in zip(timings["reference"], timings["runs"])
     ]
     return {label: min(times) for label, times in timings.items()}, ratios
 

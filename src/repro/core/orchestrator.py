@@ -25,9 +25,9 @@ retries with capped backoff, every wait is a deadline wait, and a
 candidate that crashes / corrupts / hangs is dropped from selection with
 its productive slice queued for repair by a surviving variant.  The hang
 deadline is the one thing a fault injector changes (:func:`_deadline`):
-with none installed nothing can fault or hang, waits are unbounded (so
-the engine's analytic drain still runs them), and a clean launch keeps
-the outputs, selections and cycles it had before the two paths merged.
+with none installed nothing can fault or hang, so waits are unbounded,
+and a clean launch keeps the outputs, selections and cycles it had
+before the two paths merged.
 Its trace differs only in the host waits: each ``HOST_WAIT`` span
 carries ``deadline``/``timed_out``, the synchronous flow waits on each
 candidate in turn, and the asynchronous remainder's ``REMAINDER_BATCH``
@@ -187,9 +187,8 @@ def _retry_transients(
 def _deadline(engine: ExecutionEngine, config: ReproConfig) -> float:
     """The hang deadline of a wait that starts now.
 
-    Only an installed fault injector can hang a task, so without one the
-    deadline is unbounded — and an unbounded wait keeps the engine's
-    analytic drain, which a bounded one would switch off.
+    Only an installed fault injector can hang a task, so without one
+    nothing can hang and the deadline is unbounded.
     """
     if engine.injector is None:
         return float("inf")

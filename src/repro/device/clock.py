@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -98,20 +97,3 @@ class NoisyClock:
         end_tick = math.floor((phase + true_cycles) / quantum)
         measured = (end_tick - start_tick) * quantum
         return MeasuredInterval(true_cycles=true_cycles, measured_cycles=measured)
-
-    def read_intervals(self, true_cycles) -> List[MeasuredInterval]:
-        """Measure several intervals through the quantized timer at once.
-
-        It is :meth:`read_interval` once per entry in order, RNG
-        consumption included: entries on the exact branch (interval far
-        above the quantum) draw nothing, the rest draw one scalar phase
-        each.  Every entry is checked before the first draw, so a batch
-        with a negative entry raises without consuming randomness.  The
-        engine's analytic drain flushes its finished tasks through this,
-        so measurement noise cannot tell it from per-task reads.
-        """
-        values = [float(value) for value in true_cycles]
-        for value in values:
-            if value < 0:
-                raise ValueError(f"interval cannot be negative: {value}")
-        return [self.read_interval(value) for value in values]

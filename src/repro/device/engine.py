@@ -58,8 +58,7 @@ _NO_DURATIONS = np.zeros(0)
 class _Batch:
     """Queued work-groups of one task: a duration array and a cursor.
 
-    The event loop consumes groups by advancing ``index``; the analytic
-    drain consumes the remaining suffix at once.
+    The dispatcher consumes groups in runs by advancing ``index``.
     """
 
     __slots__ = ("task", "durations", "index")
@@ -275,9 +274,6 @@ class ExecutionEngine:
         self._seq = itertools.count()
         self._busy_cycles = 0.0
         self._launch_count = 0
-        #: Tasks whose finish stops the current ``_advance_to`` (plumbed
-        #: to the analytic drain, whose signature tests subclass).
-        self._stop: Tuple[TaskHandle, ...] = ()
         #: Optional fault injector (:mod:`repro.faults`); when installed,
         #: it owns functional execution and may sabotage submissions.
         self.injector = None
@@ -514,8 +510,8 @@ class ExecutionEngine:
         host: the clock advances to the deadline, other work keeps
         flowing, and the caller decides what to do with the straggler
         (usually :meth:`cancel`).  An infinite ``deadline`` waits like
-        :meth:`wait` (analytic drain included); its ``HOST_WAIT`` span
-        records ``deadline`` as ``None``.
+        :meth:`wait`; its ``HOST_WAIT`` span records ``deadline`` as
+        ``None``.
         """
         blocked_at = self._now
         deadline = max(deadline, self._now)
@@ -623,152 +619,77 @@ class ExecutionEngine:
         Returns True if any progress was made.  Returns as soon as a task
         in ``stop`` finishes.
 
-        Once the horizon is unbounded and no arrival is pending, the rest
-        of the advance is the analytic drain (:meth:`_try_fast_batch`),
-        whatever the queue size.  Bounded advances (polls, host compute,
-        deadline waits) and advances with arrivals still pending dispatch
-        one work-group at a time.
+        Work-groups go out in runs of the head batch: once the arrivals
+        due by the earliest free time are delivered, the batch dispatches
+        while that free time is at most ``limit``, that is no later than
+        the horizon and strictly before the next arrival, which could
+        bring higher-priority work.  Free times never decrease, so a run
+        that passes ``limit`` is over.
         """
         progressed = False
-        previous_stop = self._stop
-        self._stop = stop
         profiling, eager, batch_work = self._ready
         arrivals = self._arrivals
         unit_heap = self._unit_heap
-        unbounded = horizon == float("inf")
-        try:
-            while True:
-                queue = profiling or eager or batch_work
-                if not queue:
-                    if not arrivals:
-                        return progressed
-                    next_arrival = arrivals[0][0]
-                    if next_arrival > horizon:
-                        return progressed
-                    self._deliver_arrivals(next_arrival)
-                    continue
-
-                if unbounded and not arrivals and self._try_fast_batch(horizon):
-                    # The drain empties every queue unless a stop task
-                    # finished: either way this advance is done.
-                    return True
-
-                free_time = unit_heap[0]
-                if arrivals and arrivals[0][0] <= free_time:
-                    # Deliver anything arriving by the dispatch instant so
-                    # higher priority work can claim the unit.
-                    self._deliver_arrivals(free_time)
-                    queue = profiling or eager or batch_work
-                batch = queue[0]
-                task = batch.task
-                arrival = task.arrival_time
-                start = free_time if free_time > arrival else arrival
-                if start > horizon:
-                    # Nothing can start inside the horizon yet.
-                    return progressed
-                durations = batch.durations
-                duration = float(durations[batch.index])
-                batch.index += 1
-                end = start + duration
-                heapq.heapreplace(unit_heap, end)
-                self._busy_cycles += duration
-                if start < task.first_start:
-                    task.first_start = start
-                if end > task.last_end:
-                    task.last_end = end
-                task.completed_work_groups += 1
-                if batch.index == len(durations):
-                    # A task's work-groups are one batch: exhausting it
-                    # finishes the task.
-                    queue.popleft()
-                    self._finalize(task)
-                    if stop and any(task is t for t in stop):
-                        return True
-                progressed = True
-        finally:
-            self._stop = previous_stop
-
-    def _try_fast_batch(self, horizon: float) -> bool:
-        """Analytic drain of the ready queues (exact, never approximate).
-
-        With no pending arrivals and an unbounded horizon, the event loop
-        degenerates to a fixed iteration order: for each queued work-group
-        in priority-then-FIFO order, pop the earliest-free unit, start at
-        ``max(free_time, arrival)``, run, push back.  Nothing can preempt
-        — arrivals are empty and priorities are fixed — so running that
-        schedule as a tight loop over whole batches (contended,
-        mixed-priority, and preempted queues included) produces *bit
-        identical* unit free times, intervals, busy cycles, and
-        measurement-RNG consumption; only the simulation cost differs.
-        Returns False, draining nothing, unless those preconditions hold.
-
-        A task in ``stop`` (plumbed via ``_advance_to``) stops the drain
-        right after the batch that finishes it; later batches stay queued
-        because work submitted afterwards could still preempt them.
-        """
-        if self._arrivals or horizon != float("inf"):
-            return False
-
-        stop = self._stop
-        unit_heap = self._unit_heap
         heapreplace = heapq.heapreplace
-        busy = self._busy_cycles
-        finished: List[TaskHandle] = []
-        stopped = False
-        for queue in self._ready:
-            while queue and not stopped:
-                batch = queue[0]
-                task = batch.task
-                durations = batch.durations
-                index = batch.index
-                arrival = task.arrival_time
-                first_start = task.first_start
-                last_end = task.last_end
-                # ``tolist`` yields the same floats ``float(durations[i])``
-                # would, without a numpy scalar per work-group.
-                for duration in durations[index:].tolist():
-                    free_time = unit_heap[0]
-                    start = free_time if free_time > arrival else arrival
-                    end = start + duration
-                    heapreplace(unit_heap, end)
-                    if start < first_start:
-                        first_start = start
-                    if end > last_end:
-                        last_end = end
-                    busy += duration
-                batch.index = len(durations)
+        while True:
+            queue = profiling or eager or batch_work
+            if not queue:
+                if not arrivals:
+                    return progressed
+                next_arrival = arrivals[0][0]
+                if next_arrival > horizon:
+                    return progressed
+                self._deliver_arrivals(next_arrival)
+                continue
+
+            free_time = unit_heap[0]
+            if arrivals and arrivals[0][0] <= free_time:
+                # Deliver anything arriving by the dispatch instant so
+                # higher priority work can claim the unit.
+                self._deliver_arrivals(free_time)
+                queue = profiling or eager or batch_work
+            batch = queue[0]
+            task = batch.task
+            arrival = task.arrival_time
+            start = free_time if free_time > arrival else arrival
+            if start > horizon:
+                # Nothing can start inside the horizon yet.
+                return progressed
+            # Starts never decrease, so a run's first start is its least.
+            if start < task.first_start:
+                task.first_start = start
+            limit = horizon
+            if arrivals:
+                limit = min(horizon, math.nextafter(arrivals[0][0], -math.inf))
+            durations = batch.durations
+            index = batch.index
+            last_end = task.last_end
+            busy = self._busy_cycles
+            # The run's first work-group always goes: ``free_time`` is
+            # below the next arrival and at most the horizon.
+            for duration in memoryview(durations)[index:]:
+                free_time = unit_heap[0]
+                if free_time > limit:
+                    break
+                start = free_time if free_time > arrival else arrival
+                end = start + duration
+                heapreplace(unit_heap, end)
+                if end > last_end:
+                    last_end = end
+                busy += duration
+                index += 1
+            task.completed_work_groups += index - batch.index
+            task.last_end = last_end
+            batch.index = index
+            self._busy_cycles = busy
+            progressed = True
+            if index == len(durations):
+                # A task's work-groups are one batch: exhausting it
+                # finishes the task.
                 queue.popleft()
-                task.first_start = first_start
-                task.last_end = last_end
-                task.completed_work_groups += len(durations) - index
-                if task.finished:
-                    finished.append(task)
-                    stopped = any(task is t for t in stop)
-            if stopped:
-                break
-        self._busy_cycles = busy
-        self._measure_finished(finished)
-        return True
-
-    def _measure_finished(self, tasks: List[TaskHandle]) -> None:
-        """Read measurements for drained tasks, in completion order.
-
-        Uses the clock's batched read so one RNG call serves the whole
-        drain; bit-identical to per-task :meth:`_finalize` calls because
-        nothing else consumes the clock's RNG between the completions.
-        """
-        pending = [
-            task
-            for task in tasks
-            if task.measure and task.measured is None
-        ]
-        if not pending:
-            return
-        intervals = self.clock.read_intervals(
-            [task.true_span_cycles for task in pending]
-        )
-        for task, interval in zip(pending, intervals):
-            task.measured = interval
+                self._finalize(task)
+                if stop and any(task is t for t in stop):
+                    return True
 
     def _finalize(self, task: TaskHandle) -> None:
         """Complete a task: read its (noisy) measurement, emit its span."""

@@ -383,7 +383,7 @@ def schedule_family(config: ReproConfig = DEFAULT_CONFIG):
     return family
 
 
-_GEOMETRY_CACHE: Dict[Tuple[Tuple[int, int, int], int], _Geometry] = {}
+_GEOMETRY_CACHE: Dict[Tuple[Tuple[int, int, int], int, int], _Geometry] = {}
 
 
 def get_geometry(
@@ -391,8 +391,8 @@ def get_geometry(
     num_atoms: int = DEFAULT_ATOMS,
     config: ReproConfig = DEFAULT_CONFIG,
 ) -> _Geometry:
-    """Binned atom geometry, cached per (lattice, atoms)."""
-    key = (tuple(lattice), num_atoms)
+    """Binned atom geometry, cached per (lattice, atoms, seed)."""
+    key = (tuple(lattice), num_atoms, config.seed)
     if key not in _GEOMETRY_CACHE:
         _GEOMETRY_CACHE[key] = _Geometry(lattice, num_atoms, config)
     return _GEOMETRY_CACHE[key]

@@ -323,17 +323,17 @@ def vector_variant(device_kind: str) -> KernelVariant:
 # Inputs
 # ----------------------------------------------------------------------
 
-_MATRIX_CACHE: Dict[Tuple[str, int], CsrMatrix] = {}
+_MATRIX_CACHE: Dict[Tuple[str, int, int], CsrMatrix] = {}
 
 
 def get_matrix(
     kind: str, size: int, config: ReproConfig = DEFAULT_CONFIG
 ) -> CsrMatrix:
-    """The evaluation's two inputs, cached per size.
+    """The evaluation's two inputs, cached per (kind, size, seed).
 
     ``kind`` is ``"random"`` (SHOC default, 1% density) or ``"diagonal"``.
     """
-    key = (kind, size)
+    key = (kind, size, config.seed)
     if key not in _MATRIX_CACHE:
         if kind == "random":
             _MATRIX_CACHE[key] = random_csr(size, size, 0.01, config)

@@ -22,7 +22,7 @@ The **workload unit** is a block of 32 sorted rows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -193,14 +193,15 @@ def base_variant(device_kind: str) -> KernelVariant:
     )
 
 
-_MATRIX_CACHE: Dict[int, JdsMatrix] = {}
+_MATRIX_CACHE: Dict[Tuple[int, int], JdsMatrix] = {}
 
 
 def get_matrix(size: int, config: ReproConfig = DEFAULT_CONFIG) -> JdsMatrix:
-    """Random 1% CSR converted to JDS, cached per size."""
-    if size not in _MATRIX_CACHE:
-        _MATRIX_CACHE[size] = csr_to_jds(random_csr(size, size, 0.01, config))
-    return _MATRIX_CACHE[size]
+    """Random 1% CSR converted to JDS, cached per (size, seed)."""
+    key = (size, config.seed)
+    if key not in _MATRIX_CACHE:
+        _MATRIX_CACHE[key] = csr_to_jds(random_csr(size, size, 0.01, config))
+    return _MATRIX_CACHE[key]
 
 
 def make_args_factory(

@@ -29,14 +29,10 @@ from repro.kernel import (
     MemoryAccess,
 )
 from repro.kernel.buffers import Buffer
+from tests.device.engine_reference import advance_per_work_group
 
 #: Elements each axpy workload unit scales.
 AXPY_UNIT = 64
-
-
-def _never_drain(self, horizon: float) -> bool:
-    """Stand-in drain that refuses, leaving the per-work-group path."""
-    return False
 
 
 def _no_quiet_passes(self, pending, eager=(), deadline=float("inf")) -> int:
@@ -48,22 +44,24 @@ def _no_quiet_passes(self, pending, eager=(), deadline=float("inf")) -> int:
 def forced_engine_path(drain: bool, quiet_passes: bool = True) -> Iterator[None]:
     """Pin the engine's scheduling path inside the block.
 
-    ``drain=False`` patches ``ExecutionEngine._try_fast_batch`` to refuse,
-    so every work-group goes through the per-work-group loop;
-    ``quiet_passes=False`` patches ``ExecutionEngine.poll_quiet_passes``
-    to cover no pass, so the asynchronous flow polls one poll at a time.
-    Subclass probes that call ``super()`` see the patches too.
+    ``drain=False`` swaps the per-work-group reference
+    (:func:`tests.device.engine_reference.advance_per_work_group`) in
+    for ``ExecutionEngine._advance_to``, so no work-group goes out in a
+    run; ``quiet_passes=False`` patches
+    ``ExecutionEngine.poll_quiet_passes`` to cover no pass, so the
+    asynchronous flow polls one poll at a time.  Subclass probes that
+    call ``super()`` see the patches too.
     """
     engine_cls = engine_mod.ExecutionEngine
-    saved = (engine_cls._try_fast_batch, engine_cls.poll_quiet_passes)
+    saved = (engine_cls._advance_to, engine_cls.poll_quiet_passes)
     if not drain:
-        engine_cls._try_fast_batch = _never_drain
+        engine_cls._advance_to = advance_per_work_group
     if not quiet_passes:
         engine_cls.poll_quiet_passes = _no_quiet_passes
     try:
         yield
     finally:
-        engine_cls._try_fast_batch, engine_cls.poll_quiet_passes = saved
+        engine_cls._advance_to, engine_cls.poll_quiet_passes = saved
 
 
 @pytest.fixture
@@ -226,7 +224,7 @@ def _no_global_state_leaks():
 
     - ``repro.config.DEFAULT_CONFIG`` must stay the pristine defaults,
     - the shared ``NULL_TRACER`` must never be switched on,
-    - ``ExecutionEngine._try_fast_batch`` patches (which force the
+    - ``ExecutionEngine._advance_to`` patches (which force the
       per-work-group path) must be undone,
     - ``ExecutionEngine.poll_quiet_passes`` patches (which force the
       per-poll loop) must be undone,
@@ -241,7 +239,7 @@ def _no_global_state_leaks():
         "cost-kernel memo not empty at test start"
     )
     default_before = config_mod.DEFAULT_CONFIG
-    drain_before = engine_mod.ExecutionEngine._try_fast_batch
+    advance_before = engine_mod.ExecutionEngine._advance_to
     quiet_before = engine_mod.ExecutionEngine.poll_quiet_passes
     yield
     clear_cost_memo()
@@ -254,8 +252,8 @@ def _no_global_state_leaks():
     assert NULL_TRACER.enabled is False, (
         "test enabled the shared NULL_TRACER"
     )
-    assert engine_mod.ExecutionEngine._try_fast_batch is drain_before, (
-        "test left ExecutionEngine._try_fast_batch patched"
+    assert engine_mod.ExecutionEngine._advance_to is advance_before, (
+        "test left ExecutionEngine._advance_to patched"
     )
     assert engine_mod.ExecutionEngine.poll_quiet_passes is quiet_before, (
         "test left ExecutionEngine.poll_quiet_passes patched"

@@ -68,56 +68,3 @@ class TestTimer:
         readings = {clock.read_interval(10.0).measured_cycles for _ in range(50)}
         # With a 1000-cycle quantum a 10-cycle interval reads 0 or 1000.
         assert readings <= {0.0, 1000.0}
-
-
-class TestBatchedReads:
-    """``read_intervals`` must be bit-identical to sequential reads.
-
-    The engine's analytic drain defers measurements and flushes them
-    through one batched call; if the batch consumed the RNG differently
-    from per-task reads, measurement noise would distinguish the drain
-    from the event path.
-    """
-
-    def values(self, quantum):
-        # Mix of ordinary intervals and ones on the exact branch (far
-        # above the quantum), which must consume no RNG draws.
-        return [5.0, 73.0, quantum * 2**41, 250.0, 0.0, quantum * 2**50, 9.5]
-
-    @pytest.mark.parametrize("seed", [0, 1, 17])
-    def test_matches_sequential_reads(self, seed):
-        config = ReproConfig(seed=seed).with_noise(timer_quantum=100.0)
-        values = self.values(100.0)
-        batch = NoisyClock(config, "dev").read_intervals(values)
-        # Sequential reference: one clock consuming draws value by value.
-        reference_clock = NoisyClock(config, "dev")
-        sequential = [reference_clock.read_interval(v) for v in values]
-        assert batch == sequential
-
-    def test_rng_stream_continues_identically(self):
-        """A batched read leaves the RNG exactly where scalar reads do."""
-        config = ReproConfig().with_noise(timer_quantum=100.0)
-        values = self.values(100.0)
-        batched_clock = NoisyClock(config, "dev")
-        batched_clock.read_intervals(values)
-        scalar_clock = NoisyClock(config, "dev")
-        for v in values:
-            scalar_clock.read_interval(v)
-        follow = [3.0, 42.0, 9999.0]
-        assert batched_clock.read_intervals(follow) == [
-            scalar_clock.read_interval(v) for v in follow
-        ]
-
-    def test_empty_batch_draws_nothing(self):
-        config = ReproConfig().with_noise(timer_quantum=100.0)
-        clock = NoisyClock(config, "dev")
-        assert clock.read_intervals([]) == []
-        assert (
-            clock.read_interval(5.0)
-            == NoisyClock(config, "dev").read_interval(5.0)
-        )
-
-    def test_negative_entry_rejected(self):
-        clock = NoisyClock(ReproConfig(), "dev")
-        with pytest.raises(ValueError, match="negative"):
-            clock.read_intervals([5.0, -2.0, 7.0])

@@ -206,8 +206,8 @@ class TestFastBatch:
     def test_fast_batch_matches_forced_event_path_exactly(
         self, cpu, quiet_config
     ):
-        """Two back-to-back waits schedule identically with the analytic
-        drain and with the forced per-work-group path, to the float."""
+        """Two back-to-back waits schedule identically in runs and with
+        the forced per-work-group path, to the float."""
         variant = make_axpy_variant("v", trips=50)
         units = 4196
 

@@ -1,15 +1,16 @@
-"""Equivalence harness: the event and analytic paths agree.
+"""Equivalence harness: the engine's default paths and the reference agree.
 
 Extends ``test_fast_batch_property``: where that suite drives one
 single-task batch, this one runs whole *scenarios* — contended
 mixed-priority queues, interleaved host polls and waits, deadline
 waits with injected hangs, latency faults, noise on and off — through
-each of the engine's two scheduling paths and asserts exact equality
-of every observable: task intervals, measured cycles, host clock,
-utilization, unit free times, launch counts, trace events, and output
-buffers.  Zero tolerance: comparisons are ``==`` / ``array_equal``,
-never ``allclose`` — the analytic paths claim bit-identity, not
-approximation.
+the default paths (dispatch in runs, quiet poll passes in closed form)
+and the reference (one work-group and one poll at a time), and asserts
+exact equality of every observable: task intervals, measured cycles,
+host clock, utilization, unit free times, launch counts, trace events,
+and output buffers.  Zero tolerance: comparisons are ``==`` /
+``array_equal``, never ``allclose`` — the default paths claim
+bit-identity, not approximation.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from tests.conftest import (  # noqa: E402
 )
 
 #: The two scheduling paths, as ``(drain, quiet_passes)`` forcings of
-#: :func:`forced_engine_path`.  ``event`` never reaches the analytic
-#: drain and polls one poll at a time; ``fast`` drains analytically and
-#: covers quiet poll passes in closed form.
+#: :func:`forced_engine_path`.  ``event`` dispatches one work-group at a
+#: time (the per-work-group reference) and polls one poll at a time;
+#: ``fast`` dispatches in runs and covers quiet poll passes in closed
+#: form.
 PATHS = {
     "event": (False, False),
     "fast": (True, True),

@@ -1,12 +1,12 @@
-"""Property: the fast-batch path is *exactly* the event path, cheaper.
+"""Property: dispatch in runs is *exactly* the per-work-group loop, cheaper.
 
-``ExecutionEngine._try_fast_batch`` claims bit-identical unit free
-times, task intervals, busy cycles, and measurements — not an
-approximation.  The engine takes it on every unbounded advance with no
-pending arrival; this suite forces the per-work-group path instead by
-patching the hook to refuse (``forced_engine_path(drain=False)``), runs
-both over the same seeded workload, and asserts equality down to the
-float.
+``ExecutionEngine._advance_to`` sends the head batch's work-groups out
+in runs, one comparison per work-group, where the per-work-group
+reference re-reads the queues and arrivals for every work-group.  The
+runs claim bit-identical unit free times, task intervals, busy cycles,
+and measurements — not an approximation.  This suite swaps the
+reference in (``forced_engine_path(drain=False)``), runs both over the
+same seeded workload, and asserts equality down to the float.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from tests.conftest import (  # noqa: E402
     make_axpy_args,
     make_axpy_variant,
 )
+from tests.device.engine_reference import advance_per_work_group  # noqa: E402
 
 
 def run_batch(config, units, trips, pattern, drain):
-    """One seeded single-task batch with the analytic drain on or off.
+    """One seeded single-task batch, in runs or (``drain=False``) per
+    work-group.
 
     Returns ``(task, engine, y)``: the finished task, its engine (for
     clock/busy accounting), and the committed output vector.
@@ -87,60 +89,23 @@ def test_fast_batch_is_exact(units, trips, strided, noisy, root_seed):
     assert np.array_equal(fast_y, event_y)
 
 
-def test_fast_path_actually_engages(quiet_config):
-    """Guard against vacuity: a wait on a small batch takes the fast path
-    by default, and the forced per-work-group path does not."""
-    taken = []
-
-    class Probe(ExecutionEngine):
-        def _try_fast_batch(self, horizon):
-            result = super()._try_fast_batch(horizon)
-            taken.append(result)
-            return result
-
-    variant = make_axpy_variant("v", trips=16)
-    units = 64
-    engine = Probe(make_cpu(quiet_config), quiet_config)
-    task = engine.submit(
-        variant, make_axpy_args(units, quiet_config), WorkRange(0, units)
-    )
-    engine.wait(task)
-    assert taken == [True]
-
-    taken.clear()
+def test_fast_path_actually_engages():
+    """Guard against vacuity: the forced path swaps the per-work-group
+    reference in for the run dispatcher, and puts the dispatcher back."""
+    default = ExecutionEngine._advance_to
+    assert default is not advance_per_work_group
     with forced_engine_path(drain=False):
-        engine = Probe(make_cpu(quiet_config), quiet_config)
-        task = engine.submit(
-            variant, make_axpy_args(units, quiet_config), WorkRange(0, units)
-        )
-        engine.wait(task)
-    assert task.finished
-    assert taken and not any(taken)
-
-
-def test_drain_refuses_outside_its_preconditions(quiet_config):
-    """The hook drains nothing while an arrival is pending or to a
-    bounded horizon, and everything once neither holds."""
-    engine = ExecutionEngine(make_cpu(quiet_config), quiet_config)
-    task = engine.submit(
-        make_axpy_variant("v", trips=16),
-        make_axpy_args(32, quiet_config),
-        WorkRange(0, 32),
-    )
-    assert engine._try_fast_batch(float("inf")) is False
-    engine._deliver_arrivals(task.arrival_time)
-    assert engine._try_fast_batch(task.arrival_time + 1e9) is False
-    assert task.completed_work_groups == 0
-    assert engine._try_fast_batch(float("inf")) is True
-    assert task.finished
+        assert ExecutionEngine._advance_to is advance_per_work_group
+    assert ExecutionEngine._advance_to is default
 
 
 def test_drain_hook_patches_via_monkeypatch(monkeypatch, quiet_config):
-    """The documented test hook: monkeypatching ``_try_fast_batch`` to
-    refuse is enough to steer the path (no engine-construction argument
-    needed), and the per-work-group path still finishes and measures."""
+    """The documented test hook: monkeypatching ``_advance_to`` with the
+    reference is enough to steer the path (no engine-construction
+    argument needed), and the per-work-group path still finishes and
+    measures."""
     monkeypatch.setattr(
-        ExecutionEngine, "_try_fast_batch", lambda self, horizon: False
+        ExecutionEngine, "_advance_to", advance_per_work_group
     )
     variant = make_axpy_variant("v", trips=16)
     args = make_axpy_args(32, quiet_config)
@@ -153,24 +118,13 @@ def test_drain_hook_patches_via_monkeypatch(monkeypatch, quiet_config):
 
 
 def test_split_batches_take_the_generalized_fast_path(quiet_config):
-    """Two interleaved tasks drain through the fast path *and* agree
-    exactly with the event path.
+    """Two interleaved tasks go out in runs *and* agree exactly with the
+    per-work-group reference: the second task's arrival ends the first
+    task's run, and the next run starts where the reference would."""
 
-    The original fast path bailed out on multi-task queues; the
-    generalized drain handles any ready mix (an unconditional greedy
-    list schedule once arrivals are empty), so it must engage here —
-    and the result must still be bit-identical."""
-    taken = []
-
-    class Probe(ExecutionEngine):
-        def _try_fast_batch(self, horizon):
-            result = super()._try_fast_batch(horizon)
-            taken.append(result)
-            return result
-
-    def run(engine_cls, drain):
+    def run(drain):
         with forced_engine_path(drain):
-            engine = engine_cls(make_cpu(quiet_config), quiet_config)
+            engine = ExecutionEngine(make_cpu(quiet_config), quiet_config)
             variant = make_axpy_variant("v", trips=16)
             args = make_axpy_args(64, quiet_config)
             first = engine.submit(variant, args, WorkRange(0, 32))
@@ -178,9 +132,8 @@ def test_split_batches_take_the_generalized_fast_path(quiet_config):
             engine.wait_all([first, second])
             return engine, first, second, args
 
-    fast = run(Probe, drain=True)
-    assert any(taken), "split batches no longer reach the fast path"
-    event = run(ExecutionEngine, drain=False)
+    fast = run(drain=True)
+    event = run(drain=False)
     for fast_task, event_task in zip(fast[1:3], event[1:3]):
         assert fast_task.finished and event_task.finished
         assert fast_task.first_start == event_task.first_start

@@ -7,8 +7,7 @@ The per-poll loop moves the host clock by ``fl(y + L)`` once per poll.
 instead of ``searchsorted``.  This suite compares both with the
 sequential fold: instants, first-poll indices on both sides, pass
 indices, and a whole asynchronous launch whose polls cross a power of
-two.  ``NoisyClock.read_intervals`` is compared with per-entry
-``read_interval`` reads.
+two.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 chaos_seed = seed(CHAOS_SEED)
 
 import tests.core.test_async_polls as async_polls  # noqa: E402
-from repro.config import ReproConfig  # noqa: E402
-from repro.device.clock import NoisyClock  # noqa: E402
 from repro.device.engine import _exact_polls, _PollInstants  # noqa: E402
 from repro.obs.events import EventKind  # noqa: E402
 
@@ -240,49 +237,3 @@ class TestLaunchAcrossAPowerOfTwo:
         if reference is None:
             return  # nothing polled (every candidate faulted at submit)
         async_polls.assert_same(reference, closed)
-
-
-class TestReadIntervals:
-    QUANTUM = 100.0
-
-    @chaos_seed
-    @settings(max_examples=100, deadline=None)
-    @given(
-        values=st.lists(
-            st.one_of(
-                st.floats(min_value=0.0, max_value=1e6),
-                st.floats(min_value=QUANTUM * 2**40, max_value=1e300),
-                st.just(QUANTUM * 2**40),
-            ),
-            max_size=8,
-        ),
-        rng_seed=st.integers(min_value=0, max_value=2**20),
-    )
-    def test_mixed_lists_equal_per_entry_reads(self, values, rng_seed):
-        config = ReproConfig(seed=rng_seed).with_noise(
-            timer_quantum=self.QUANTUM
-        )
-        batched = NoisyClock(config, "dev")
-        scalar = NoisyClock(config, "dev")
-        assert batched.read_intervals(values) == [
-            scalar.read_interval(value) for value in values
-        ]
-        assert batched._rng.bit_generator.state == (
-            scalar._rng.bit_generator.state
-        )
-
-    def test_negative_entry_draws_nothing(self):
-        config = ReproConfig().with_noise(timer_quantum=self.QUANTUM)
-        clock = NoisyClock(config, "dev")
-        before = clock._rng.bit_generator.state
-        with pytest.raises(ValueError, match="negative: -2.0"):
-            clock.read_intervals([5.0, 7.0, -2.0])
-        assert clock._rng.bit_generator.state == before
-
-    def test_numpy_input(self):
-        config = ReproConfig().with_noise(timer_quantum=self.QUANTUM)
-        values = np.array([5.0, self.QUANTUM * 2**41, 250.0])
-        scalar = NoisyClock(config, "dev")
-        assert NoisyClock(config, "dev").read_intervals(values) == [
-            scalar.read_interval(float(value)) for value in values
-        ]

@@ -6,13 +6,13 @@ the earliest time and leaves its end in its place, so replacing either
 of two equal times leaves the same multiset.  Nothing reads a unit id:
 no start, end, busy-cycle fold, measurement or trace field.
 
-``TupleHeapEngine`` keeps the engine's earlier dispatcher and analytic
-drain verbatim, over the pair heap, as the reference.  Both engines run
-the same seeded scenarios, built to make ties: equal durations on an
-all-zero heap, mixed priorities, bounded advances (polls, host compute)
-that dispatch part of the queue one work-group at a time before a wait
-drains the rest.  Task spans, busy cycles, the horizon, the sorted free
-times, the host clock and the clock's RNG state must all be equal.
+``TupleHeapEngine`` keeps the engine's per-work-group dispatcher over
+the pair heap as the reference.  Both engines run the same seeded
+scenarios, built to make ties: equal durations on an all-zero heap,
+mixed priorities, bounded advances (polls, host compute) that dispatch
+part of the queue before a wait dispatches the rest.  Task spans, busy
+cycles, the horizon, the sorted free times, the host clock and the
+clock's RNG state must all be equal.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 
 class TupleHeapEngine(ExecutionEngine):
-    """The engine with its earlier ``(free_time, unit_id)`` heap."""
+    """The per-work-group engine with its earlier ``(free_time, unit_id)``
+    heap."""
 
     def __init__(self, device, config=None) -> None:
         super().__init__(device, config)
@@ -51,108 +52,52 @@ class TupleHeapEngine(ExecutionEngine):
         self, horizon: float, stop: Tuple[TaskHandle, ...] = ()
     ) -> bool:
         progressed = False
-        previous_stop = self._stop
-        self._stop = stop
         profiling, eager, batch_work = self._ready
         arrivals = self._arrivals
         unit_heap = self._unit_heap
-        unbounded = horizon == float("inf")
-        try:
-            while True:
-                queue = profiling or eager or batch_work
-                if not queue:
-                    if not arrivals:
-                        return progressed
-                    next_arrival = arrivals[0][0]
-                    if next_arrival > horizon:
-                        return progressed
-                    self._deliver_arrivals(next_arrival)
-                    continue
-
-                if unbounded and not arrivals and self._try_fast_batch(horizon):
-                    # The drain empties every queue unless a stop task
-                    # finished: either way this advance is done.
-                    return True
-
-                free_time, unit = unit_heap[0]
-                if arrivals and arrivals[0][0] <= free_time:
-                    # Deliver anything arriving by the dispatch instant so
-                    # higher priority work can claim the unit.
-                    self._deliver_arrivals(free_time)
-                    queue = profiling or eager or batch_work
-                batch = queue[0]
-                task = batch.task
-                arrival = task.arrival_time
-                start = free_time if free_time > arrival else arrival
-                if start > horizon:
-                    # Nothing can start inside the horizon yet.
+        while True:
+            queue = profiling or eager or batch_work
+            if not queue:
+                if not arrivals:
                     return progressed
-                durations = batch.durations
-                duration = float(durations[batch.index])
-                batch.index += 1
-                end = start + duration
-                heapq.heapreplace(unit_heap, (end, unit))
-                self._busy_cycles += duration
-                if start < task.first_start:
-                    task.first_start = start
-                if end > task.last_end:
-                    task.last_end = end
-                task.completed_work_groups += 1
-                if batch.index == len(durations):
-                    # A task's work-groups are one batch: exhausting it
-                    # finishes the task.
-                    queue.popleft()
-                    self._finalize(task)
-                    if stop and any(task is t for t in stop):
-                        return True
-                progressed = True
-        finally:
-            self._stop = previous_stop
+                next_arrival = arrivals[0][0]
+                if next_arrival > horizon:
+                    return progressed
+                self._deliver_arrivals(next_arrival)
+                continue
 
-    def _try_fast_batch(self, horizon: float) -> bool:
-        if self._arrivals or horizon != float("inf"):
-            return False
-
-        stop = self._stop
-        unit_heap = self._unit_heap
-        heapreplace = heapq.heapreplace
-        busy = self._busy_cycles
-        finished: List[TaskHandle] = []
-        stopped = False
-        for queue in self._ready:
-            while queue and not stopped:
-                batch = queue[0]
-                task = batch.task
-                durations = batch.durations
-                index = batch.index
-                arrival = task.arrival_time
-                first_start = task.first_start
-                last_end = task.last_end
-                # ``tolist`` yields the same floats ``float(durations[i])``
-                # would, without a numpy scalar per work-group.
-                for duration in durations[index:].tolist():
-                    free_time, unit = unit_heap[0]
-                    start = free_time if free_time > arrival else arrival
-                    end = start + duration
-                    heapreplace(unit_heap, (end, unit))
-                    if start < first_start:
-                        first_start = start
-                    if end > last_end:
-                        last_end = end
-                    busy += duration
-                batch.index = len(durations)
+            free_time, unit = unit_heap[0]
+            if arrivals and arrivals[0][0] <= free_time:
+                # Deliver anything arriving by the dispatch instant so
+                # higher priority work can claim the unit.
+                self._deliver_arrivals(free_time)
+                queue = profiling or eager or batch_work
+            batch = queue[0]
+            task = batch.task
+            arrival = task.arrival_time
+            start = free_time if free_time > arrival else arrival
+            if start > horizon:
+                # Nothing can start inside the horizon yet.
+                return progressed
+            durations = batch.durations
+            duration = float(durations[batch.index])
+            batch.index += 1
+            end = start + duration
+            heapq.heapreplace(unit_heap, (end, unit))
+            self._busy_cycles += duration
+            if start < task.first_start:
+                task.first_start = start
+            if end > task.last_end:
+                task.last_end = end
+            task.completed_work_groups += 1
+            if batch.index == len(durations):
+                # A task's work-groups are one batch: exhausting it
+                # finishes the task.
                 queue.popleft()
-                task.first_start = first_start
-                task.last_end = last_end
-                task.completed_work_groups += len(durations) - index
-                if task.finished:
-                    finished.append(task)
-                    stopped = any(task is t for t in stop)
-            if stopped:
-                break
-        self._busy_cycles = busy
-        self._measure_finished(finished)
-        return True
+                self._finalize(task)
+                if stop and any(task is t for t in stop):
+                    return True
+            progressed = True
 
 
 # ----------------------------------------------------------------------
@@ -248,24 +193,16 @@ def test_free_times_schedule_like_unit_pairs(
 
 def test_ties_occur_and_both_paths_run():
     """Guard against vacuity: the scenario shape makes equal free times
-    on the heap, dispatches some work-groups one at a time and drains
-    the rest analytically."""
-    taken = []
-
-    class Probe(ExecutionEngine):
-        def _try_fast_batch(self, horizon):
-            result = super()._try_fast_batch(horizon)
-            taken.append(result)
-            return result
-
+    on the heap, ends a run at a bounded advance's horizon, and ends
+    another at an arrival that preempts the queued batch."""
     config = ReproConfig(noise=NoiseModel(execution_jitter=0.0))
     plan = [
-        ("submit", Priority.BATCH, True, [100.0] * 40),
+        ("submit", Priority.BATCH, True, [100.0] * 400),
         ("compute", 4_800.0),
         ("submit", Priority.PROFILING, True, [100.0] * 6),
         ("submit", Priority.EAGER, False, [50.0] * 7),
     ]
-    engine = Probe(make_cpu(config), config)
+    engine = ExecutionEngine(make_cpu(config), config)
     costs = [np.array(step[3]) for step in reversed(plan) if step[0] == "submit"]
     engine.cost_model.workgroup_cycles = lambda *_: costs.pop()
     variant = make_axpy_variant("v", trips=4)
@@ -274,10 +211,12 @@ def test_ties_occur_and_both_paths_run():
     engine.host_compute(4_800.0)
     assert 0 < first.completed_work_groups < first.total_work_groups
     assert len(set(engine._unit_heap)) < len(engine._unit_heap)
-    engine.submit(variant, args, WorkRange(0, 1), priority=Priority.PROFILING)
+    profiling = engine.submit(
+        variant, args, WorkRange(0, 1), priority=Priority.PROFILING
+    )
     engine.submit(variant, args, WorkRange(0, 1), priority=Priority.EAGER)
     engine.barrier()
-    assert taken == [True]
+    assert first.first_start < profiling.first_start < first.last_end
     assert run(ExecutionEngine, make_cpu, config, plan) == run(
         TupleHeapEngine, make_cpu, config, plan
     )

@@ -3,9 +3,9 @@
 ``test_differential`` checks each launch against ``goldens.json`` under
 whatever path the engine picks by default.  This guard removes the
 "whatever the engine picks": every catalog case × mode × flow runs twice
-— once on the *default* path (analytic drain, quiet poll passes in
-closed form), once on the *reference* path (drain forced off, every
-poll taken one at a time) — and the two output digests and selections
+— once on the *default* path (dispatch in runs, quiet poll passes in
+closed form), once on the *reference* path (one work-group at a time,
+every poll taken one at a time) — and the two output digests and selections
 must agree with each other and with the recorded golden.
 A divergence here is the exact regression a closed form could
 introduce: a schedule change that moves a slice boundary or flips a

@@ -139,38 +139,36 @@ class TestWarmLaunchDrain:
     def test_serving_sized_warm_launch_drains_analytically(
         self, fast_slow_pool, config, monkeypatch
     ):
-        """A warm store-hit launch of at most 512 work-groups is one
-        analytic drain of all its work-groups: nothing is left to the
-        per-work-group loop, whatever the queue size."""
+        """A warm store-hit launch of at most 512 work-groups dispatches
+        all of its work-groups in one ``_advance_to`` call: one run,
+        whatever the queue size."""
         scheduler = make_scheduler(config, fast_slow_pool, devices=1)
         scheduler.launch(make_batch(config, 1)[0])  # profiles, publishes
 
-        submitted, drains = [], []
+        submitted, advances = [], []
         submit = ExecutionEngine.submit
-        drain = ExecutionEngine._try_fast_batch
+        advance = ExecutionEngine._advance_to
 
         def recording_submit(self, *args, **kwargs):
             task = submit(self, *args, **kwargs)
             submitted.append(task)
             return task
 
-        def recording_drain(self, horizon):
-            pending = [
-                task.total_work_groups - task.completed_work_groups
-                for task in submitted
-            ]
-            drained = drain(self, horizon)
-            drains.append((drained, pending))
-            return drained
+        def recording_advance(self, horizon, stop=()):
+            before = sum(task.completed_work_groups for task in submitted)
+            progressed = advance(self, horizon, stop)
+            after = sum(task.completed_work_groups for task in submitted)
+            advances.append(after - before)
+            return progressed
 
         monkeypatch.setattr(ExecutionEngine, "submit", recording_submit)
-        monkeypatch.setattr(ExecutionEngine, "_try_fast_batch", recording_drain)
+        monkeypatch.setattr(ExecutionEngine, "_advance_to", recording_advance)
         outcome = scheduler.launch(make_batch(config, 1)[0])
 
         assert outcome.store_hit and not outcome.profiled
         assert [task.total_work_groups for task in submitted] == [UNITS]
         assert UNITS <= 512
-        assert drains == [(True, [UNITS])]
+        assert [count for count in advances if count] == [UNITS]
         assert submitted[0].finished
 
 

@@ -1,5 +1,6 @@
 """Tests for the cutcp workload."""
 
+import numpy as np
 import pytest
 
 from repro.config import ReproConfig
@@ -67,3 +68,24 @@ class TestPaperShapes:
         gpu_best = min(gpu_times, key=gpu_times.get)
         assert "tiled" not in cpu_best
         assert "tiled" in gpu_best
+
+
+class TestGeometryCache:
+    LATTICE = (8, 8, 4)
+    ATOMS = 200
+
+    def test_two_seeds_get_two_geometries(self):
+        first = cutcp.get_geometry(self.LATTICE, self.ATOMS, ReproConfig(seed=101))
+        second = cutcp.get_geometry(
+            self.LATTICE, self.ATOMS, ReproConfig(seed=102)
+        )
+        fresh = cutcp._Geometry(self.LATTICE, self.ATOMS, ReproConfig(seed=102))
+        assert second is not first
+        assert not np.array_equal(second.contribution, first.contribution)
+        assert np.array_equal(second.contribution, fresh.contribution)
+        assert np.array_equal(second.point_ptr, fresh.point_ptr)
+
+    def test_same_seed_returns_the_cached_geometry(self):
+        first = cutcp.get_geometry(self.LATTICE, self.ATOMS, ReproConfig(seed=101))
+        again = cutcp.get_geometry(self.LATTICE, self.ATOMS, ReproConfig(seed=101))
+        assert again is first

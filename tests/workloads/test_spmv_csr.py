@@ -1,5 +1,6 @@
 """Tests for the spmv-csr workload: correctness and paper-shape checks."""
 
+import numpy as np
 import pytest
 
 from repro.config import ReproConfig
@@ -7,6 +8,7 @@ from repro.device import make_cpu, make_gpu
 from repro.harness.runner import evaluate_case, run_pure
 from repro.modes import ProfilingMode
 from repro.workloads import spmv_csr
+from repro.workloads.matrices import random_csr
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +119,21 @@ class TestPlacementCase:
         assert "porple-fermi" in best
         worst = max(times, key=times.get)
         assert "jang" in worst
+
+
+class TestMatrixCache:
+    SIZE = 256
+
+    def test_two_seeds_get_two_matrices(self):
+        first = spmv_csr.get_matrix("random", self.SIZE, ReproConfig(seed=101))
+        second = spmv_csr.get_matrix("random", self.SIZE, ReproConfig(seed=102))
+        fresh = random_csr(self.SIZE, self.SIZE, 0.01, ReproConfig(seed=102))
+        assert second is not first
+        assert not np.array_equal(second.indices, first.indices)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(second, name), getattr(fresh, name))
+
+    def test_same_seed_returns_the_cached_matrix(self):
+        first = spmv_csr.get_matrix("random", self.SIZE, ReproConfig(seed=101))
+        again = spmv_csr.get_matrix("random", self.SIZE, ReproConfig(seed=101))
+        assert again is first

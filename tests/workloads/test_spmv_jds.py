@@ -12,7 +12,7 @@ from repro.device import make_cpu, make_gpu
 from repro.harness.runner import run_pure
 from repro.modes import ProfilingMode
 from repro.workloads import spmv_jds
-from repro.workloads.matrices import JdsMatrix
+from repro.workloads.matrices import JdsMatrix, csr_to_jds, random_csr
 from repro.workloads.spmv_jds import ROWS_PER_UNIT
 
 SIZE = 1024
@@ -158,3 +158,23 @@ class TestDiagTrips:
             unit_ids = np.arange(spmv_jds.workload_units(args["matrix"]) + 2)
             expected = reference_diag_trips(args, unit_ids)
             assert (spmv_jds._diag_trips(args, unit_ids) == expected).all()
+
+
+class TestMatrixCache:
+    SIZE = 256
+
+    def test_two_seeds_get_two_matrices(self):
+        first = spmv_jds.get_matrix(self.SIZE, ReproConfig(seed=101))
+        second = spmv_jds.get_matrix(self.SIZE, ReproConfig(seed=102))
+        fresh = csr_to_jds(
+            random_csr(self.SIZE, self.SIZE, 0.01, ReproConfig(seed=102))
+        )
+        assert second is not first
+        assert not np.array_equal(second.indices, first.indices)
+        for name in ("perm", "diag_ptr", "diag_rows", "indices", "data"):
+            assert np.array_equal(getattr(second, name), getattr(fresh, name))
+
+    def test_same_seed_returns_the_cached_matrix(self):
+        first = spmv_jds.get_matrix(self.SIZE, ReproConfig(seed=101))
+        again = spmv_jds.get_matrix(self.SIZE, ReproConfig(seed=101))
+        assert again is first
