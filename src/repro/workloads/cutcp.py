@@ -85,7 +85,8 @@ class _Geometry:
     real physics, computed once per input and replayed per launch.  The
     contributions are computed a chunk of points at a time, as
     :func:`_neighbour_chunks` yields them, so the distance temporaries
-    stay bounded on any lattice.
+    stay bounded on any lattice; each distance is the root of the
+    squared distance the neighbour test computed.
     """
 
     def __init__(
@@ -103,13 +104,11 @@ class _Geometry:
 
         counts = np.zeros(len(points), dtype=np.int64)
         parts = []
-        for p0, p1, chunk_counts, flat in _neighbour_chunks(positions, points):
+        for p0, p1, chunk_counts, flat, dist2 in _neighbour_chunks(
+            positions, points
+        ):
             counts[p0:p1] = chunk_counts
-            deltas = positions[flat] - np.repeat(
-                points[p0:p1], chunk_counts, axis=0
-            )
-            distances = np.sqrt(np.sum(deltas * deltas, axis=1))
-            distances = np.maximum(distances, 0.25)
+            distances = np.maximum(np.sqrt(dist2), 0.25)
             # Shifted Coulomb kernel: q * (1/r - 1/rc), zero at the cutoff.
             parts.append(
                 (charges[flat] * (1.0 / distances - 1.0 / CUTOFF)).astype(
@@ -168,14 +167,16 @@ class _Geometry:
 
 def _neighbour_chunks(
     positions: np.ndarray, points: np.ndarray
-) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """The atoms within ``CUTOFF`` of each lattice point, in chunks.
 
-    Yields ``(p0, p1, counts, atoms)`` for consecutive runs of points:
-    ``counts[i]`` atoms lie in range of point ``p0 + i``, and ``atoms``
-    lists their indices point by point.  Exactness rules, under which
-    the lists equal ``scipy.spatial.cKDTree(positions)
-    .query_ball_point(points, CUTOFF)``'s:
+    Yields ``(p0, p1, counts, atoms, dist2)`` for consecutive runs of
+    points: ``counts[i]`` atoms lie in range of point ``p0 + i``,
+    ``atoms`` lists their indices point by point, and ``dist2`` holds
+    each hit's squared distance as the inclusion test computed it.
+    Exactness rules, under which the lists equal
+    ``scipy.spatial.cKDTree(positions).query_ball_point(points,
+    CUTOFF)``'s:
 
     * Atom ``a`` is a neighbour of point ``p`` iff ``(dx*dx + dy*dy) +
       dz*dz <= CUTOFF*CUTOFF`` in float64, summed in that order, with
@@ -247,7 +248,7 @@ def _neighbour_chunks(
         dist2 += d[2]
         hits = np.flatnonzero(dist2 <= CUTOFF * CUTOFF)
         counts = np.diff(np.searchsorted(hits, ends), prepend=0)
-        yield p0, p1, counts, cand[idx[hits]]
+        yield p0, p1, counts, cand[idx[hits]], dist2[hits]
         p0 = p1
 
 

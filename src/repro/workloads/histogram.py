@@ -241,7 +241,12 @@ def make_checker(
     config: ReproConfig = DEFAULT_CONFIG,
 ):
     """Output validator against one-shot bincount."""
-    data = make_args_factory(distribution, elems, config)()["data"].data
+    return _checker(make_args_factory(distribution, elems, config)())
+
+
+def _checker(inputs: Mapping[str, object]):
+    """Validator for the values an argument factory drew."""
+    data = inputs["data"].data  # type: ignore[union-attr]
 
     def check(args: Mapping[str, object]) -> bool:
         hist = args["hist"].data  # type: ignore[union-attr]
@@ -262,11 +267,12 @@ def swap_case(
         spec=KernelSpec(signature=histogram_signature()),
         variants=(atomic_variant(), privatized_variant()),
     )
+    make_args = make_args_factory(distribution, elems, config)
     return BenchmarkCase(
         name=f"histogram/{distribution}",
         pool=pool,
-        make_args=make_args_factory(distribution, elems, config),
+        make_args=make_args,
         workload_units=(elems + ELEMS_PER_UNIT - 1) // ELEMS_PER_UNIT,
-        check=make_checker(distribution, elems, config),
+        check=_checker(make_args()),
         notes="swap-based profiling showcase (atomics, overlapping output)",
     )

@@ -193,9 +193,13 @@ def make_args_factory(
 
 def make_checker(points: int = DEFAULT_POINTS, config: ReproConfig = DEFAULT_CONFIG):
     """Output validator against a vectorized argmin reference."""
-    rng = config.rng("kmeans", points)
-    features = rng.standard_normal((points, FEATURES)).astype(np.float32)
-    centroids = rng.standard_normal((CLUSTERS, FEATURES)).astype(np.float32)
+    return _checker(make_args_factory(points, config)())
+
+
+def _checker(inputs: Mapping[str, object]):
+    """Validator for the points and centroids an argument factory drew."""
+    features = inputs["features"].data  # type: ignore[union-attr]
+    centroids = inputs["centroids"].data  # type: ignore[union-attr]
     cross = features @ centroids.T
     c_norm = np.sum(centroids * centroids, axis=1)
     expected = np.argmin(c_norm[None, :] - 2.0 * cross, axis=1)
@@ -230,6 +234,7 @@ def schedule_case(
     iterations: int = 1,
 ) -> BenchmarkCase:
     """Fig 8: the 3 legal loop orders on the CPU."""
+    make_args = make_args_factory(points, config)
     variants = tuple(variant for _, variant in schedule_family(points))
     pool = VariantPool(
         spec=KernelSpec(signature=kmeans_signature()),
@@ -238,9 +243,9 @@ def schedule_case(
     return BenchmarkCase(
         name="kmeans/cpu/schedules",
         pool=pool,
-        make_args=make_args_factory(points, config),
+        make_args=make_args,
         workload_units=workload_units(points),
         iterations=iterations,
-        check=make_checker(points, config),
+        check=_checker(make_args()),
         notes="Case Study I: LC scheduling, CPU",
     )

@@ -283,11 +283,12 @@ def random_csr(
     indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(per_row, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
+    bounds = indptr.tolist()
     for r in range(rows):
-        lo, hi = indptr[r], indptr[r + 1]
-        indices[lo:hi] = np.sort(
-            rng.choice(cols, size=hi - lo, replace=False)
-        ).astype(np.int32)
+        lo, hi = bounds[r], bounds[r + 1]
+        row = rng.choice(cols, size=hi - lo, replace=False)
+        row.sort()
+        indices[lo:hi] = row
     data = rng.standard_normal(indptr[-1]).astype(np.float32)
     return CsrMatrix(
         indptr=indptr,

@@ -186,15 +186,19 @@ def make_checker(
     particles: int = DEFAULT_PARTICLES, config: ReproConfig = DEFAULT_CONFIG
 ):
     """Output validator against numpy searchsorted."""
-    args = make_args_factory(particles, config)()
-    cdf = args["cdf"].data  # type: ignore[union-attr]
-    u = args["u"].data  # type: ignore[union-attr]
+    return _checker(make_args_factory(particles, config)())
+
+
+def _checker(inputs: Mapping[str, object]):
+    """Validator for the CDF and thresholds an argument factory drew."""
+    cdf = inputs["cdf"].data  # type: ignore[union-attr]
+    u = inputs["u"].data  # type: ignore[union-attr]
     expected = np.minimum(
         np.searchsorted(cdf, u, side="left"), len(cdf) - 1
     )
 
-    def check(call_args: Mapping[str, object]) -> bool:
-        out = call_args["index_out"].data  # type: ignore[union-attr]
+    def check(args: Mapping[str, object]) -> bool:
+        out = args["index_out"].data  # type: ignore[union-attr]
         return bool(np.array_equal(out, expected))
 
     return check
@@ -209,9 +213,13 @@ def placement_variants(
     particles: int = DEFAULT_PARTICLES, config: ReproConfig = DEFAULT_CONFIG
 ) -> List[KernelVariant]:
     """The four Fig 9 policies: Rodinia original + PORPLE ×2 + Jang."""
+    return _placement_variants(make_args_factory(particles, config)())
+
+
+def _placement_variants(inputs: Mapping[str, object]) -> List[KernelVariant]:
+    """The Fig 9 policies, placing the buffers an argument factory drew."""
     base = base_variant()
-    args = make_args_factory(particles, config)()
-    buffers = {"cdf": args["cdf"], "u": args["u"]}
+    buffers = {"cdf": inputs["cdf"], "u": inputs["u"]}
     variants = [dataclasses.replace(base, name=f"{base.name},rodinia")]
     for generation in (GpuGeneration.KEPLER, GpuGeneration.FERMI):
         policy = porple_placement(base.ir, buffers, generation)
@@ -249,7 +257,9 @@ def placement_case(
     iterations: int = 1,
 ) -> BenchmarkCase:
     """Fig 9: data placement for particle filter on the GPU."""
-    variants = tuple(placement_variants(particles, config))
+    make_args = make_args_factory(particles, config)
+    inputs = make_args()
+    variants = tuple(_placement_variants(inputs))
     pool = VariantPool(
         spec=KernelSpec(signature=pf_signature()),
         variants=variants,
@@ -257,9 +267,9 @@ def placement_case(
     return BenchmarkCase(
         name="particle-filter/gpu/placement",
         pool=pool,
-        make_args=make_args_factory(particles, config),
+        make_args=make_args,
         workload_units=workload_units(particles),
         iterations=iterations,
-        check=make_checker(particles, config),
+        check=_checker(inputs),
         notes="Case Study II: data placement, GPU",
     )

@@ -187,10 +187,12 @@ def make_args_factory(
 
 def make_checker(n: int, config: ReproConfig = DEFAULT_CONFIG):
     """Output validator against numpy matmul."""
-    rng = config.rng("sgemm", n)
-    a = rng.standard_normal((n, n)).astype(np.float32)
-    b = rng.standard_normal((n, n)).astype(np.float32)
-    expected = a @ b
+    return _checker(make_args_factory(n, config)())
+
+
+def _checker(inputs: Mapping[str, object]):
+    """Validator for the matrices an argument factory drew."""
+    expected = inputs["a"].data @ inputs["b"].data  # type: ignore[union-attr]
 
     def check(args: Mapping[str, object]) -> bool:
         c = args["c"].data  # type: ignore[union-attr]
@@ -223,12 +225,13 @@ def vectorization_case(
         spec=KernelSpec(signature=sgemm_signature()),
         variants=variants,
     )
+    make_args = make_args_factory(n, config)
     return BenchmarkCase(
         name="sgemm/cpu/vectorization",
         pool=pool,
-        make_args=make_args_factory(n, config),
+        make_args=make_args,
         workload_units=workload_units(n),
-        check=make_checker(n, config),
+        check=_checker(make_args()),
         notes="Fig 1: Intel vectorizer width study",
     )
 
@@ -250,12 +253,13 @@ def schedule_case(
         spec=KernelSpec(signature=sgemm_signature()),
         variants=variants,
     )
+    make_args = make_args_factory(n, config)
     return BenchmarkCase(
         name="sgemm/cpu/schedules",
         pool=pool,
-        make_args=make_args_factory(n, config),
+        make_args=make_args,
         workload_units=workload_units(n),
-        check=make_checker(n, config),
+        check=_checker(make_args()),
         notes="Case Study I: LC scheduling, CPU",
     )
 
@@ -315,11 +319,12 @@ def mixed_case(
         spec=KernelSpec(signature=sgemm_signature()),
         variants=variants,
     )
+    make_args = make_args_factory(n, config)
     return BenchmarkCase(
         name=f"sgemm/{device_kind}/mixed",
         pool=pool,
-        make_args=make_args_factory(n, config),
+        make_args=make_args,
         workload_units=workload_units(n),
-        check=make_checker(n, config),
+        check=_checker(make_args()),
         notes="Case Study III: mixed compile-time optimizations",
     )

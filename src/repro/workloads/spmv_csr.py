@@ -425,7 +425,8 @@ def placement_case(
     heuristic — so the baseline selectors and the pool stay consistent.
     """
     matrix = get_matrix("random", size, config)
-    args = make_args_factory(matrix, config)()
+    make_args = make_args_factory(matrix, config)
+    args = make_args()
     buffers = {
         name: args[name]
         for name in ("val", "col", "x")
@@ -460,7 +461,7 @@ def placement_case(
     return BenchmarkCase(
         name="spmv-csr/gpu/placement/random",
         pool=pool,
-        make_args=make_args_factory(matrix, config),
+        make_args=make_args,
         workload_units=workload_units(matrix),
         iterations=iterations,
         check=make_checker(matrix),

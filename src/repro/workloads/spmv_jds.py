@@ -44,8 +44,9 @@ from ..kernel.ir import (
 )
 from ..kernel.kernel import KernelSpec, KernelVariant
 from ..kernel.signature import ArgSpec, KernelSignature
+from . import spmv_csr
 from .base import BenchmarkCase
-from .matrices import JdsMatrix, csr_to_jds, random_csr
+from .matrices import JdsMatrix, csr_to_jds
 
 #: Rows per workload unit.
 ROWS_PER_UNIT = 32
@@ -197,10 +198,16 @@ _MATRIX_CACHE: Dict[Tuple[int, int], JdsMatrix] = {}
 
 
 def get_matrix(size: int, config: ReproConfig = DEFAULT_CONFIG) -> JdsMatrix:
-    """Random 1% CSR converted to JDS, cached per (size, seed)."""
+    """spmv-csr's random 1% matrix converted to JDS, cached per (size, seed).
+
+    The CSR input is the one ``spmv_csr.get_matrix("random", size,
+    config)`` caches, so both formats hold one matrix, drawn once.
+    """
     key = (size, config.seed)
     if key not in _MATRIX_CACHE:
-        _MATRIX_CACHE[key] = csr_to_jds(random_csr(size, size, 0.01, config))
+        _MATRIX_CACHE[key] = csr_to_jds(
+            spmv_csr.get_matrix("random", size, config)
+        )
     return _MATRIX_CACHE[key]
 
 
@@ -225,9 +232,13 @@ def make_args_factory(
 
 def make_checker(matrix: JdsMatrix, config: ReproConfig = DEFAULT_CONFIG):
     """Output validator against the JDS reference multiply."""
-    rng = config.rng("spmv_jds_x", matrix.label)
-    x_data = rng.standard_normal(matrix.shape[1]).astype(np.float32)
-    expected = matrix.multiply(x_data)
+    return _checker(make_args_factory(matrix, config)())
+
+
+def _checker(inputs: Mapping[str, object]):
+    """Validator for the matrix and vector an argument factory drew."""
+    matrix: JdsMatrix = inputs["matrix"]  # type: ignore[assignment]
+    expected = matrix.multiply(inputs["x"].data)  # type: ignore[union-attr]
 
     def check(args: Mapping[str, object]) -> bool:
         y = args["y"].data  # type: ignore[union-attr]
@@ -246,6 +257,7 @@ def vectorization_case(
 ) -> BenchmarkCase:
     """Fig 1: scalar / 4-way / 8-way on the CPU (divergent kernel)."""
     matrix = get_matrix(size, config)
+    make_args = make_args_factory(matrix, config)
     base = base_variant("cpu")
     variants = tuple(vectorize(base, width) for width in (1, 4, 8))
     pool = VariantPool(
@@ -255,9 +267,9 @@ def vectorization_case(
     return BenchmarkCase(
         name="spmv-jds/cpu/vectorization",
         pool=pool,
-        make_args=make_args_factory(matrix, config),
+        make_args=make_args,
         workload_units=workload_units(matrix),
-        check=make_checker(matrix, config),
+        check=_checker(make_args()),
         notes="Fig 1: Intel vectorizer width study",
     )
 
@@ -284,6 +296,7 @@ def schedule_case(
 ) -> BenchmarkCase:
     """Fig 8: the 2 schedules on the CPU."""
     matrix = get_matrix(size, config)
+    make_args = make_args_factory(matrix, config)
     variants = tuple(variant for _, variant in schedule_family(size, config))
     pool = VariantPool(
         spec=KernelSpec(signature=jds_signature()),
@@ -292,10 +305,10 @@ def schedule_case(
     return BenchmarkCase(
         name="spmv-jds/cpu/schedules",
         pool=pool,
-        make_args=make_args_factory(matrix, config),
+        make_args=make_args,
         workload_units=workload_units(matrix),
         iterations=iterations,
-        check=make_checker(matrix, config),
+        check=_checker(make_args()),
         notes="Case Study I: LC scheduling, CPU",
     )
 
@@ -351,6 +364,7 @@ def mixed_case(
 ) -> BenchmarkCase:
     """Fig 10: Parboil's version pools (2 on CPU, 4 on GPU)."""
     matrix = get_matrix(size, config)
+    make_args = make_args_factory(matrix, config)
     if device_kind == "gpu":
         variants = tuple(gpu_mixed_variants())
     else:
@@ -362,9 +376,9 @@ def mixed_case(
     return BenchmarkCase(
         name=f"spmv-jds/{device_kind}/mixed",
         pool=pool,
-        make_args=make_args_factory(matrix, config),
+        make_args=make_args,
         workload_units=workload_units(matrix),
         iterations=iterations,
-        check=make_checker(matrix, config),
+        check=_checker(make_args()),
         notes="Case Study III: mixed compile-time optimizations",
     )

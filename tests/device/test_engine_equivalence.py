@@ -2,8 +2,8 @@
 
 Extends ``test_fast_batch_property``: where that suite drives one
 single-task batch, this one runs whole *scenarios* — contended
-mixed-priority queues, interleaved host polls and waits, deadline
-waits with injected hangs, latency faults, noise on and off — through
+mixed-priority queues, interleaved host polls, waits and host compute,
+deadline waits with injected hangs, latency faults, noise on and off — through
 the default paths (dispatch in runs, quiet poll passes in closed form)
 and the reference (one work-group and one poll at a time), and asserts
 exact equality of every observable: task intervals, measured cycles,
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, seed, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, seed, settings, strategies as st  # noqa: E402
 
 #: Replay locally with ``REPRO_CHAOS_SEED=<seed>`` (same convention as
 #: the chaos suite; the CI flakiness job randomizes it).
@@ -116,6 +116,8 @@ def run_scenario(config, plan, drain, quiet_passes, engine_cls=ExecutionEngine):
                 engine.poll(target)
             elif step["sync"] == "wait":
                 engine.wait(target)
+            if step["host"]:
+                engine.host_compute(step["host"])
         engine.wait_all(tasks)
         engine.barrier()
         return snapshot(engine, tasks, argsets)
@@ -136,9 +138,45 @@ def scenarios(draw):
                 "strided": draw(st.booleans()),
                 "sync": draw(st.sampled_from(["none", "none", "poll", "wait"])),
                 "target": draw(st.integers(min_value=0, max_value=steps - 1)),
+                # Long enough, or not, for the step's own launch to arrive.
+                "host": draw(st.sampled_from([0.0, 0.0, 0.0, 4_600.0, 7_000.0])),
             }
         )
     return plan
+
+
+def step(units, priority, sync="none", target=0, host=0.0):
+    """A scenario step of the unit-stride 20-trip axpy, whose work-groups
+    take 1,250 cycles each on the noise-free CPU."""
+    return {
+        "units": units,
+        "trips": 20,
+        "priority": priority,
+        "measure": True,
+        "strided": False,
+        "sync": sync,
+        "target": target,
+        "host": host,
+    }
+
+
+#: The batch's units free up together at 9,750 + k × 1,250 once the
+#: waited-on profiling task ends; the last profiling task arrives at
+#: 17,250 (9,750 + 1,500 + 6,000), exactly on such a free time, and must
+#: take the units before the batch's next wave.
+ARRIVAL_AT_A_FREE_TIME = [
+    step(48, Priority.BATCH),
+    step(4, Priority.PROFILING, sync="wait", target=1),
+    step(4, Priority.BATCH),
+    step(4, Priority.PROFILING),
+]
+#: Host compute ends at 7,250, when the batch's second wave starts: that
+#: advance dispatches the wave and no later one, so the profiling task
+#: arriving at 13,250 takes the units when the wave running then ends.
+HORIZON_AT_A_START = [
+    step(48, Priority.BATCH, host=5_750.0),
+    step(4, Priority.PROFILING),
+]
 
 
 @chaos_seed
@@ -148,6 +186,8 @@ def scenarios(draw):
     noisy=st.booleans(),
     root_seed=st.integers(min_value=0, max_value=2**20),
 )
+@example(plan=ARRIVAL_AT_A_FREE_TIME, noisy=False, root_seed=0)
+@example(plan=HORIZON_AT_A_START, noisy=False, root_seed=0)
 def test_scenarios_agree_across_all_paths(plan, noisy, root_seed):
     """Contended mixed-priority scenarios are path-invariant, exactly."""
     config = ReproConfig(seed=root_seed)
@@ -157,6 +197,21 @@ def test_scenarios_agree_across_all_paths(plan, noisy, root_seed):
     for label in ("fast",):
         result = run_scenario(config, plan, *PATHS[label])
         assert_snapshots_equal(reference, result, label)
+
+
+def test_boundary_examples_sit_on_their_boundaries():
+    """Guard against vacuity: on the reference path, each explicit
+    example's profiling task starts where its comment says, which
+    holds only while a work-group takes 1,250 cycles."""
+    config = ReproConfig().without_noise()
+    arrival = run_scenario(config, ARRIVAL_AT_A_FREE_TIME, *PATHS["event"])
+    batch, profiling = arrival["tasks"][0], arrival["tasks"][3]
+    assert profiling[:2] == (17_250.0, 18_500.0)
+    assert batch[:2] == (6_000.0, 18_500.0 + 4 * 1_250.0)
+    horizon = run_scenario(config, HORIZON_AT_A_START, *PATHS["event"])
+    batch, profiling = horizon["tasks"]
+    assert profiling[:2] == (13_500.0, 14_750.0)
+    assert batch[:2] == (6_000.0, 14_750.0 + 6 * 1_250.0)
 
 
 @pytest.mark.parametrize("noisy", [False, True])

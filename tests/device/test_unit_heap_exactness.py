@@ -22,7 +22,7 @@ import os
 from typing import List, Tuple
 
 import numpy as np
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.config import NoiseModel, ReproConfig
 from repro.device import make_cpu, make_gpu
@@ -171,6 +171,22 @@ def run(engine_cls, make_device, config, plan):
     }
 
 
+#: A profiling launch arriving at 7,500, exactly when the batch's sixth
+#: wave of 250-cycle work-groups ends: it takes the units first.
+ARRIVAL_AT_A_FREE_TIME = [
+    ("submit", Priority.BATCH, True, [250.0] * 48),
+    ("submit", Priority.PROFILING, True, [100.0] * 4),
+]
+#: Host compute ends at 7,000, when the batch's second wave starts: that
+#: advance dispatches the wave and no later one, so the profiling launch
+#: arriving at 13,000 takes the units before the batch's eighth wave.
+HORIZON_AT_A_START = [
+    ("submit", Priority.BATCH, True, [1_000.0] * 48),
+    ("compute", 5_500.0),
+    ("submit", Priority.PROFILING, True, [100.0] * 4),
+]
+
+
 @seed(CHAOS_SEED)
 @settings(max_examples=150, deadline=None)
 @given(
@@ -179,6 +195,20 @@ def run(engine_cls, make_device, config, plan):
     jitter=st.sampled_from([0.0, 0.0, 0.02]),
     quantum=st.sampled_from([1e-12, 1.0, 64.0]),
     root_seed=st.integers(min_value=0, max_value=2**20),
+)
+@example(
+    plan=ARRIVAL_AT_A_FREE_TIME,
+    make_device=make_cpu,
+    jitter=0.0,
+    quantum=1.0,
+    root_seed=0,
+)
+@example(
+    plan=HORIZON_AT_A_START,
+    make_device=make_cpu,
+    jitter=0.0,
+    quantum=1.0,
+    root_seed=0,
 )
 def test_free_times_schedule_like_unit_pairs(
     plan, make_device, jitter, quantum, root_seed
@@ -220,3 +250,17 @@ def test_ties_occur_and_both_paths_run():
     assert run(ExecutionEngine, make_cpu, config, plan) == run(
         TupleHeapEngine, make_cpu, config, plan
     )
+
+
+def test_boundary_examples_sit_on_their_boundaries():
+    """Guard against vacuity: each explicit example's profiling launch
+    starts where its comment says, on the pair-heap reference."""
+    config = ReproConfig(noise=NoiseModel(execution_jitter=0.0))
+    arrival = run(TupleHeapEngine, make_cpu, config, ARRIVAL_AT_A_FREE_TIME)
+    batch, profiling = arrival["tasks"]
+    assert profiling[:2] == (7_500.0, 7_600.0)
+    assert batch[:2] == (6_000.0, 7_600.0 + 6 * 250.0)
+    horizon = run(TupleHeapEngine, make_cpu, config, HORIZON_AT_A_START)
+    batch, profiling = horizon["tasks"]
+    assert profiling[:2] == (13_000.0, 13_100.0)
+    assert batch[:2] == (6_000.0, 13_100.0 + 5 * 1_000.0)

@@ -92,7 +92,7 @@ def neighbour_lists(positions, points):
     """``(point_ptr, atoms)`` assembled from the chunks."""
     counts = np.zeros(len(points), dtype=np.int64)
     parts = [np.zeros(0, dtype=np.int64)]
-    for p0, p1, chunk_counts, atoms in cutcp._neighbour_chunks(
+    for p0, p1, chunk_counts, atoms, _ in cutcp._neighbour_chunks(
         positions, points
     ):
         counts[p0:p1] = chunk_counts
@@ -142,6 +142,21 @@ class TestBruteForce:
     @given(geometry=small_geometries())
     def test_lists_match_the_brute_force_scan(self, geometry):
         assert_same_lists(*geometry)
+
+    @seed(CHAOS_SEED)
+    @settings(max_examples=200, deadline=None)
+    @given(geometry=small_geometries())
+    def test_squared_distances_match_the_inclusion_rule(self, geometry):
+        """Each hit's yielded squared distance is ``(dx*dx + dy*dy) +
+        dz*dz`` recomputed from the positions, bit for bit."""
+        positions, points = geometry
+        for p0, p1, counts, atoms, dist2 in cutcp._neighbour_chunks(
+            positions, points
+        ):
+            d = positions[atoms] - np.repeat(points[p0:p1], counts, axis=0)
+            dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+            assert dist2.dtype == np.float64
+            assert dist2.tobytes() == ((dx * dx + dy * dy) + dz * dz).tobytes()
 
     @pytest.mark.parametrize("lattice", [(0, 0, 0), (0, 5, 3), (4, 4, 4)])
     def test_no_atoms_or_no_points(self, lattice):
@@ -205,7 +220,9 @@ class TestKdTreeCrossCheck:
         positions = atom_positions(lattice, num_atoms)
         points = cutcp._Geometry._lattice_points(lattice)
         tree = spatial.cKDTree(positions)
-        for p0, p1, counts, atoms in cutcp._neighbour_chunks(positions, points):
+        for p0, p1, counts, atoms, _ in cutcp._neighbour_chunks(
+            positions, points
+        ):
             lists = tree.query_ball_point(points[p0:p1], cutcp.CUTOFF)
             assert counts.tolist() == [len(found) for found in lists], p0
             assert atoms.tolist() == [a for found in lists for a in found], p0

@@ -11,7 +11,7 @@ from repro.config import ReproConfig
 from repro.device import make_cpu, make_gpu
 from repro.harness.runner import run_pure
 from repro.modes import ProfilingMode
-from repro.workloads import spmv_jds
+from repro.workloads import matrices, spmv_csr, spmv_jds
 from repro.workloads.matrices import JdsMatrix, csr_to_jds, random_csr
 from repro.workloads.spmv_jds import ROWS_PER_UNIT
 
@@ -178,3 +178,49 @@ class TestMatrixCache:
         first = spmv_jds.get_matrix(self.SIZE, ReproConfig(seed=101))
         again = spmv_jds.get_matrix(self.SIZE, ReproConfig(seed=101))
         assert again is first
+
+
+class TestSharedCsrInput:
+    """spmv-jds converts the random CSR matrix spmv-csr caches for the
+    same (size, seed); the two formats hold one draw of it."""
+
+    SIZE = 320
+    CONFIG = ReproConfig(seed=103)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Empty input caches, and every ``random_csr`` call counted."""
+        monkeypatch.setattr(spmv_csr, "_MATRIX_CACHE", {})
+        monkeypatch.setattr(spmv_jds, "_MATRIX_CACHE", {})
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return random_csr(*args, **kwargs)
+
+        for module in (matrices, spmv_csr, spmv_jds):
+            if hasattr(module, "random_csr"):
+                monkeypatch.setattr(module, "random_csr", counting)
+        return calls
+
+    @pytest.mark.parametrize("jds_first", [False, True])
+    def test_both_served_cases_draw_the_matrix_once(self, draws, jds_first):
+        builds = [
+            lambda: spmv_csr.input_dependent_case(
+                "cpu", "random", self.SIZE, self.CONFIG
+            ),
+            lambda: spmv_jds.schedule_case(self.SIZE, self.CONFIG),
+        ]
+        for build in reversed(builds) if jds_first else builds:
+            build()
+        assert len(draws) == 1
+
+    def test_arrays_equal_a_fresh_conversion(self, draws):
+        matrix = spmv_jds.get_matrix(self.SIZE, self.CONFIG)
+        assert len(draws) == 1
+        fresh = csr_to_jds(random_csr(self.SIZE, self.SIZE, 0.01, self.CONFIG))
+        assert (matrix.shape, matrix.label) == (fresh.shape, fresh.label)
+        for name in ("perm", "diag_ptr", "diag_rows", "indices", "data", "row_nnz"):
+            got, want = getattr(matrix, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
